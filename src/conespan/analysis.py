@@ -87,6 +87,17 @@ def t_bound(k: int) -> BoundTable:
     return BoundTable(k, tau_k, tau_2k, theta_2k, tau_prime_k, tau_prime_k * tau_2k)
 
 
+def stretch_bound(short: str, k: int) -> float | None:
+    """The closed-form stretch bound checked for a family, by CLI short name:
+    tau(k) for overlapping- and trapezoidal-Yao, t_{k/2} for Yao-Yao at even
+    k >= 84, and None where the paper states no bound."""
+    if short in ("oy", "ty"):
+        return tau_bound(k)
+    if short == "yy" and k % 2 == 0 and k >= 84:
+        return t_bound(k // 2).t_k
+    return None
+
+
 def _undirected_adjacency(graph: ConeGraph) -> list[list[tuple[int, float]]]:
     adj: list[list[tuple[int, float]]] = [[] for _ in range(graph.n)]
     for t, h in undirected_pairs(graph.edges):

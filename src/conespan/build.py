@@ -5,7 +5,8 @@ and trapezoidal-Yao selected by first contact of a growing curved trapezoid.
 All four builders share one tie-breaking rule: candidates are ordered by
 (selection scale, polar angle of the edge, candidate index), where the scale
 is the Euclidean distance except in the trapezoidal family, which uses the
-first-contact dilation factor.
+first-contact dilation factor.  Yao-Yao and overlapping-Yao are derived from
+the Yao selection table, so one candidate scan serves all three.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import (
-    EPS_REL,
-    TWO_PI,
-    HALF_PI,
-    GeometryError,
-    Point,
-    theta,
-)
+from .geometry import EPS_REL, TWO_PI, GeometryError, Point, _polar_arr, first_contact, theta
 
 
 class Family(str, Enum):
@@ -92,13 +86,8 @@ def as_point_array(points: Sequence[Point]) -> np.ndarray:
 
 def _candidate_polar(xy: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices, distances, and normalized polar angles of all points but i, seen from i."""
-    n = xy.shape[0]
-    cand = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-    d = xy[cand] - xy[i]
-    r = np.hypot(d[:, 0], d[:, 1])
-    phi = np.arctan2(d[:, 1], d[:, 0])
-    np.mod(phi, TWO_PI, out=phi)
-    phi[phi >= TWO_PI] = 0.0
+    cand = np.concatenate([np.arange(i), np.arange(i + 1, xy.shape[0])])
+    r, phi = _polar_arr(*(xy[cand] - xy[i]).T)
     return cand, r, phi
 
 
@@ -112,18 +101,18 @@ def _cone_index_arr(k: int, phi: np.ndarray) -> np.ndarray:
     return j
 
 
-def _narrow_minima(k: int, cand: np.ndarray, r: np.ndarray, phi: np.ndarray):
-    """Per-narrow-cone argmin under the global tie-break order.
+def _edge_set(tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> frozenset[DirectedEdge]:
+    return frozenset(map(DirectedEdge, tails.tolist(), heads.tolist(), lengths.tolist()))
 
-    Returns (cones, rows): the occupied cone indices and, for each, the row of
-    the winning candidate within the cand/r/phi arrays.
-    """
-    if cand.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cid = _cone_index_arr(k, phi)
-    order = np.lexsort((cand, phi, r))
-    cones, first = np.unique(cid[order], return_index=True)
-    return cones, order[first]
+
+def _from_choice(
+    family: Family, points: tuple[Point, ...], xy: np.ndarray, choice: np.ndarray
+) -> ConeGraph:
+    """The graph of a selection table: an edge i -> choice[i, j] per occupied cone."""
+    tails, _ = np.nonzero(choice >= 0)
+    heads = choice[choice >= 0]
+    r, _ = _polar_arr(*(xy[heads] - xy[tails]).T)
+    return ConeGraph(points, choice.shape[1], family, _edge_set(tails, heads, r), cone_choice=choice)
 
 
 def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
@@ -132,91 +121,72 @@ def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
     if k < 1:
         raise GeometryError(f"k must be >= 1, got {k}")
     xy = as_point_array(points)
-    n = xy.shape[0]
-    choice = np.full((n, k), -1, dtype=np.int64)
-    edges = []
-    for i in range(n):
+    choice = np.full((xy.shape[0], k), -1, dtype=np.int64)
+    for i in range(xy.shape[0]):
         cand, r, phi = _candidate_polar(xy, i)
-        cones, rows = _narrow_minima(k, cand, r, phi)
-        for c, row in zip(cones, rows):
-            choice[i, c] = cand[row]
-            edges.append(DirectedEdge(i, int(cand[row]), float(r[row])))
-    return ConeGraph(tuple(points), k, Family.YAO, frozenset(edges), cone_choice=choice)
+        order = np.lexsort((cand, phi, r))
+        cones, first = np.unique(_cone_index_arr(k, phi)[order], return_index=True)
+        choice[i, cones] = cand[order[first]]
+    return _from_choice(Family.YAO, tuple(points), xy, choice)
+
+
+def derive_yao_yao(yao: ConeGraph) -> ConeGraph:
+    """Yao-Yao graph: reverse-Yao step on a built Yao graph.  Per vertex u and
+    per cone around u, among incoming Yao edges v->u with v inside the cone,
+    only the tie-broken shortest survives."""
+    xy = as_point_array(yao.points)
+    k = yao.k
+    tails, _ = np.nonzero(yao.cone_choice >= 0)
+    heads = yao.cone_choice[yao.cone_choice >= 0]
+    # evaluate each edge in its head's frame: direction and cone of head->tail
+    r, phi = _polar_arr(*(xy[tails] - xy[heads]).T)
+    order = np.lexsort((tails, phi, r))
+    _, first = np.unique((heads * k + _cone_index_arr(k, phi))[order], return_index=True)
+    keep = order[first]
+    return ConeGraph(yao.points, k, Family.YAO_YAO, _edge_set(tails[keep], heads[keep], r[keep]))
 
 
 def build_yao_yao(points: Sequence[Point], k: int) -> ConeGraph:
-    """Yao-Yao graph: reverse-Yao step on the Yao graph.  Per vertex u and per
-    cone around u, among incoming Yao edges v->u with v inside the cone, only
-    the tie-broken shortest survives."""
-    yao = build_yao(points, k)
-    xy = as_point_array(points)
-    if not yao.edges:
-        return ConeGraph(tuple(points), k, Family.YAO_YAO, frozenset())
-    tails = np.array([e.tail for e in yao.edges], dtype=np.int64)
-    heads = np.array([e.head for e in yao.edges], dtype=np.int64)
-    lengths = np.array([e.length for e in yao.edges], dtype=float)
-    # evaluate each edge in its head's frame: direction and cone of head->tail
-    d = xy[tails] - xy[heads]
-    phi = np.arctan2(d[:, 1], d[:, 0])
-    np.mod(phi, TWO_PI, out=phi)
-    phi[phi >= TWO_PI] = 0.0
-    cid = _cone_index_arr(k, phi)
-    group = heads * k + cid
-    order = np.lexsort((tails, phi, lengths))
-    _, first = np.unique(group[order], return_index=True)
-    keep = order[first]
-    edges = frozenset(
-        DirectedEdge(int(tails[i]), int(heads[i]), float(lengths[i])) for i in keep
-    )
-    return ConeGraph(tuple(points), k, Family.YAO_YAO, edges)
+    """Yao-Yao graph of a point set (see :func:`derive_yao_yao`)."""
+    return derive_yao_yao(build_yao(points, k))
+
+
+def derive_oy(yao: ConeGraph) -> ConeGraph:
+    """Overlapping-Yao graph from a built Yao graph: per vertex and per cone j,
+    keep the shortest edge inside the widened cone [2j*pi/k, 2j*pi/k + gamma(k)).
+
+    The widened cone of index j is exactly the union of the m = ceil(k/4)
+    narrow cones j..j+m-1 (mod k), so its selection is the best of their Yao
+    selections: a cyclic window minimum over each Yao selection's rank among
+    its vertex's selections under the (distance, polar angle, index) order.
+    """
+    xy = as_point_array(yao.points)
+    choice = yao.cone_choice
+    n, k = choice.shape
+    tails = np.repeat(np.arange(n), k)
+    heads = choice.ravel()
+    r, phi = _polar_arr(*(xy[heads] - xy[tails]).T)
+    r[heads < 0] = np.inf  # empty cones rank last
+    order = np.lexsort((heads, phi, r, tails))
+    ranked = heads[order].reshape(n, k)  # per vertex: selections in tie-break order
+    rank = (np.argsort(order) % k).reshape(n, k)  # position of each selection in its row
+    best = rank.copy()
+    for shift in range(1, -(-k // 4)):
+        np.minimum(best, np.roll(rank, -shift, axis=1), out=best)
+    oy_choice = np.take_along_axis(ranked, best, axis=1)
+    # identical selections across overlapping cones collapse in the edge set
+    return _from_choice(Family.OVERLAPPING_YAO, yao.points, xy, oy_choice)
 
 
 def build_oy(points: Sequence[Point], k: int) -> ConeGraph:
-    """Overlapping-Yao graph: per vertex and per cone j, keep the shortest
-    edge inside the widened cone [2j*pi/k, 2j*pi/k + gamma(k)).
-
-    The widened cone of index j is exactly the union of the m = ceil(k/4)
-    narrow cones j..j+m-1 (mod k), so selection reduces to a cyclic
-    window-minimum over the per-narrow-cone minima.
-    """
-    if k < 1:
-        raise GeometryError(f"k must be >= 1, got {k}")
+    """Overlapping-Yao graph of a point set (see :func:`derive_oy`)."""
+    yao = build_yao(points, k)
     if k <= 24:
         warnings.warn(
             f"overlapping-Yao spanner guarantees need k > 24 (got k={k}); building anyway",
             stacklevel=2,
         )
-    xy = as_point_array(points)
-    n = xy.shape[0]
-    m = -(-k // 4)
-    window = (np.arange(k)[:, None] + np.arange(m)[None, :]) % k
-    choice = np.full((n, k), -1, dtype=np.int64)
-    edges = []
-    for i in range(n):
-        cand, r, phi = _candidate_polar(xy, i)
-        cones, rows = _narrow_minima(k, cand, r, phi)
-        if cones.size == 0:
-            continue
-        nb_r = np.full(k, np.inf)
-        nb_row = np.full(k, -1, dtype=np.int64)
-        nb_r[cones] = r[rows]
-        nb_row[cones] = rows
-        win_r = nb_r[window]
-        best = np.argmin(win_r, axis=1)
-        rows_k = np.arange(k)
-        best_r = win_r[rows_k, best]
-        occupied = np.isfinite(best_r)
-        ties = (win_r == best_r[:, None]).sum(axis=1) > 1
-        for j in np.flatnonzero(occupied):
-            if ties[j]:
-                rs = [int(nb_row[c]) for c in window[j] if nb_row[c] >= 0]
-                row = min(rs, key=lambda t: (r[t], phi[t], cand[t]))
-            else:
-                row = int(nb_row[window[j, best[j]]])
-            choice[i, j] = cand[row]
-            edges.append(DirectedEdge(i, int(cand[row]), float(r[row])))
-    # identical selections across overlapping cones collapse in the edge set
-    return ConeGraph(tuple(points), k, Family.OVERLAPPING_YAO, frozenset(edges), cone_choice=choice)
+    return derive_oy(yao)
 
 
 def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
@@ -224,47 +194,45 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     mirror image, grow the placed curved trapezoid until it first hits a
     point; keep the edge only when the hit lies on the critical arc.
 
-    For a candidate at local polar angle a and distance r the first-contact
-    dilation is r * max(1, sin(a)/sin(theta), 1/(2 cos(a))), so the whole
-    frame sweep reduces to angular arithmetic.
+    Each candidate's first-contact dilation follows from its angle to the
+    frame (:func:`first_contact`), so the whole frame sweep reduces to
+    angular arithmetic.
     """
     th = theta(k)  # also enforces k > 24
     xy = as_point_array(points)
-    n = xy.shape[0]
     sin_th = np.sin(th)
     psi = np.arange(k) * (TWO_PI / k)
     edges: set[DirectedEdge] = set()
     frames: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for i in range(n):
+    for i in range(xy.shape[0]):
         cand, r, phi = _candidate_polar(xy, i)
         if cand.size == 0:
             continue
+        # in (angle, index) order the first minimum of a frame is its tie-broken winner
+        by_angle = np.lexsort((cand, phi))
+        cand, r, phi = cand[by_angle], r[by_angle], phi[by_angle]
         for reflected in (False, True):
             if reflected:
                 alpha = np.mod(psi[None, :] - phi[:, None], TWO_PI)
             else:
                 alpha = np.mod(phi[:, None] - psi[None, :], TWO_PI)
-            valid = alpha < HALF_PI
-            sina = np.sin(alpha, where=valid, out=np.zeros_like(alpha))
-            cosa = np.cos(alpha, where=valid, out=np.ones_like(alpha))
-            factor = np.maximum(1.0, np.maximum(sina / sin_th, 0.5 / cosa))
-            lam = r[:, None] * factor
-            lam[~valid] = np.inf
-            col_min = lam.min(axis=0)
-            occupied = np.isfinite(col_min)
-            winner = np.argmin(lam, axis=0)
-            tie_counts = (lam == col_min[None, :]).sum(axis=0)
-            for j in np.flatnonzero(occupied):
-                if tie_counts[j] > 1:
-                    tied = np.flatnonzero(lam[:, j] == col_min[j])
-                    row = min(tied, key=lambda t: (phi[t], cand[t]))
-                else:
-                    row = int(winner[j])
-                if col_min[j] <= r[row] * (1.0 + EPS_REL):  # critical-arc hit
-                    e = DirectedEdge(i, int(cand[row]), float(r[row]))
-                    edges.add(e)
-                    frames.setdefault((i, int(cand[row])), []).append((int(j), reflected))
+            lam = first_contact(alpha, r[:, None], sin_th)
+            rows = np.argmin(lam, axis=0)
+            critical = lam[rows, np.arange(k)] <= r[rows] * (1.0 + EPS_REL)
+            for j in np.flatnonzero(critical):
+                head = int(cand[rows[j]])
+                edges.add(DirectedEdge(i, head, float(r[rows[j]])))
+                frames.setdefault((i, head), []).append((int(j), reflected))
     return ConeGraph(tuple(points), k, Family.TRAPEZOIDAL_YAO, frozenset(edges), ty_frames=frames)
+
+
+# CLI short name -> (family, builder)
+FAMILIES = {
+    "yao": (Family.YAO, build_yao),
+    "yy": (Family.YAO_YAO, build_yao_yao),
+    "oy": (Family.OVERLAPPING_YAO, build_oy),
+    "ty": (Family.TRAPEZOIDAL_YAO, build_ty),
+}
 
 
 def undirected_pairs(edges: Iterable[DirectedEdge]) -> set[tuple[int, int]]:

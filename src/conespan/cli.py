@@ -13,8 +13,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .analysis import stretch_factor, t_bound, tau_bound
-from .build import build_oy, build_ty, build_yao, build_yao_yao
+from .analysis import stretch_bound, stretch_factor
+from .build import FAMILIES, build_oy, build_ty
 from .fileio import ParseError, read_edges, read_points, write_edges, write_points, write_report
 from .geometry import GeometryError
 from .paths import harvest_descent_configs, oy_greedy_path, ty_descent_path
@@ -26,14 +26,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-_BUILDERS = {
-    "yao": build_yao,
-    "yy": build_yao_yao,
-    "oy": build_oy,
-    "ty": build_ty,
-}
-
 
 def _add_gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", default="uniform_square", choices=[k.value for k in GenKind])
@@ -48,8 +40,9 @@ def _add_gen_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    short = getattr(args, "family", None)
     cfg = RunConfig(
-        family=getattr(args, "family", None),
+        family=FAMILIES[short][0].value if short else None,
         k=getattr(args, "k", 30),
         n=args.n,
         seed=args.seed,
@@ -77,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default=None)
 
     p = sub.add_parser("build", help="construct a cone graph family")
-    p.add_argument("--family", required=True, choices=list(_BUILDERS))
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="infile", default=None, help="points file (csv or json)")
     _add_gen_args(p)
@@ -86,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default=None)
 
     p = sub.add_parser("stretch", help="measure the exact stretch factor")
-    p.add_argument("--family", required=True, choices=list(_BUILDERS))
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="infile", default=None)
     _add_gen_args(p)
@@ -137,13 +130,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     cfg = _config_from_args(args)
-    cfg.family = {"yao": "yao", "yy": "yao_yao", "oy": "overlapping_yao", "ty": "trapezoidal_yao"}[
-        args.family
-    ]
-    cfg.k = args.k
     cfg.validate(require_family=True)
     points = cfg.load_points()
-    graph = _BUILDERS[args.family](points, args.k)
+    graph = FAMILIES[args.family][1](points, args.k)
     write_edges(args.out, graph.edges)
     if args.points_out:
         write_points(args.points_out, points, args.format)
@@ -151,28 +140,16 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _stretch_bound(family: str, k: int) -> float | None:
-    if family in ("oy", "ty"):
-        return tau_bound(k)
-    if family == "yy" and k % 2 == 0 and k >= 84:
-        return t_bound(k // 2).t_k
-    return None
-
-
 def _cmd_stretch(args) -> int:
     cfg = _config_from_args(args)
-    cfg.family = {"yao": "yao", "yy": "yao_yao", "oy": "overlapping_yao", "ty": "trapezoidal_yao"}[
-        args.family
-    ]
-    cfg.k = args.k
     cfg.validate(require_family=True)
     points = cfg.load_points()
     if len(points) > 2000:
         raise ConfigError(
             f"all-pairs stretch is capped at 2000 points (got {len(points)})"
         )
-    graph = _BUILDERS[args.family](points, args.k)
-    bound = _stretch_bound(args.family, args.k)
+    graph = FAMILIES[args.family][1](points, args.k)
+    bound = stretch_bound(args.family, args.k)
     rep = stretch_factor(graph, bound=bound, tol=args.tolerance)
     payload = {
         "tool": "conespan",
@@ -192,8 +169,6 @@ def _cmd_stretch(args) -> int:
 
 def _cmd_path(args) -> int:
     cfg = _config_from_args(args)
-    cfg.k = args.k
-    cfg.family = "overlapping_yao" if args.family == "oy" else "trapezoidal_yao"
     cfg.validate(require_family=True)
     points = cfg.load_points()
     if args.family == "oy":
@@ -253,11 +228,10 @@ def _cmd_path(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    cfg.k = args.k
     cfg.suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     cfg.sector_samples = args.sector_samples
     cfg.ratio_samples = args.ratio_samples
-    for fam in ("yao", "yy", "oy", "ty"):
+    for fam in FAMILIES:
         path = getattr(args, f"edges_{fam}")
         if path:
             cfg.edge_files[fam] = path

@@ -60,6 +60,19 @@ def ccw_diff(a: float, b: float) -> float:
     return normalize_angle(a - b)
 
 
+def _polar_arr(dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized lengths and polar angles in [0, 2pi) of the vectors (dx, dy).
+
+    Like :func:`normalize_angle`, an angle that rounds up to 2pi (a tiny
+    negative one) maps to 0, so every caller orders such directions alike.
+    """
+    r = np.hypot(dx, dy)
+    phi = np.arctan2(dy, dx)
+    np.mod(phi, TWO_PI, out=phi)
+    phi[phi >= TWO_PI] = 0.0
+    return r, phi
+
+
 def polar_angle(u: Point, v: Point) -> float:
     """Polar angle of the vector u->v in [0, 2pi).  Errors on u == v."""
     dx = v.x - u.x
@@ -250,6 +263,21 @@ def scale_to_hit(frame: TrapezoidFrame, w: Point) -> HitResult:
     if c_top >= lam * (1.0 - EPS_REL):
         return HitResult(lam, HitPart.TOP)
     return HitResult(lam, HitPart.NEAR_ARC)
+
+
+def first_contact(alpha: np.ndarray, r: np.ndarray, sin_th: float) -> np.ndarray:
+    """Vectorized first-contact dilation of a point at distance ``r`` and
+    local polar angle ``alpha`` from the apex of a trapezoid with cap angle
+    theta: r * max(1, sin(alpha)/sin(theta), 1/(2 cos(alpha))), the polar
+    form of the bound in :func:`scale_to_hit`.  +inf where alpha lies
+    outside [0, pi/2) or r == 0 (the apex itself is never hit).
+    """
+    valid = (alpha >= 0.0) & (alpha < HALF_PI) & (r > 0.0)
+    sina = np.sin(alpha, where=valid, out=np.zeros(valid.shape))
+    cosa = np.cos(alpha, where=valid, out=np.ones(valid.shape))
+    lam = r * np.maximum(1.0, np.maximum(sina / sin_th, 0.5 / cosa))
+    lam[~valid] = np.inf
+    return lam
 
 
 def _in_trapezoid_arr(th: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:

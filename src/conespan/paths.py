@@ -26,12 +26,13 @@ from .analysis import tau_bound
 from .build import ConeGraph, Family
 from .geometry import (
     EPS_REL,
-    HALF_PI,
     TWO_PI,
     GeometryError,
     Point,
+    _polar_arr,
     cone_index,
     dist,
+    first_contact,
     normalize_angle,
     polar_angle,
     theta,
@@ -86,31 +87,6 @@ def phi_potential(point_local: Point, accumulated_length: float, tau: float) -> 
     return point_local.x + (2.0 * tau + 1.0) * abs(point_local.y) - accumulated_length
 
 
-def _oy_choice(graph: ConeGraph, u: int, j: int) -> int:
-    """Head of the overlapping-Yao selection at (vertex u, cone j), -1 if empty."""
-    if graph.cone_choice is not None:
-        return int(graph.cone_choice[u, j])
-    # fallback for graphs loaded without the selection table
-    k = graph.k
-    w = TWO_PI / k
-    lo = j * w
-    g = -(-k // 4) * w
-    best = -1
-    best_key = None
-    pu = graph.points[u]
-    for i, p in enumerate(graph.points):
-        if i == u:
-            continue
-        phi = polar_angle(pu, p)
-        if normalize_angle(phi - lo) >= g:
-            continue
-        key = (dist(pu, p), phi, i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = i
-    return best
-
-
 def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
     """Constructive path from u to v in an overlapping-Yao graph.
 
@@ -121,6 +97,8 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
     """
     if graph.family is not Family.OVERLAPPING_YAO:
         raise GeometryError(f"greedy path requires an overlapping-Yao graph, got {graph.family.value}")
+    if graph.cone_choice is None:
+        raise GeometryError("greedy path requires the overlapping-Yao selection table (cone_choice)")
     if u == v:
         raise GeometryError("path endpoints must differ")
     n = graph.n
@@ -141,7 +119,7 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
             break
         shifted = normalize_angle(polar_angle(points[cur], target) - math.pi / 4)
         j = cone_index(k, shifted)
-        head = _oy_choice(graph, cur, j)
+        head = int(graph.cone_choice[cur, j])
         if head < 0 or not graph.has_edge(cur, head):
             raise InvariantViolation(
                 f"expected an overlapping-Yao edge from {cur} in cone {j} toward {v}"
@@ -196,24 +174,15 @@ def _local_coords(xy: np.ndarray, o: int, p: Point, reflected: bool) -> tuple[np
 
 def _first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float) -> tuple[int, float, float]:
     """First point hit by the trapezoid grown from ``cur`` along direction
-    ``psi`` (mirrored in local coordinates).  Returns (index, lam, r)."""
-    dx = local[:, 0] - local[cur, 0]
-    dy = local[:, 1] - local[cur, 1]
-    r = np.hypot(dx, dy)
-    phi = np.mod(np.arctan2(dy, dx), TWO_PI)
-    alpha = np.mod(psi - phi, TWO_PI)
-    valid = (alpha < HALF_PI) & (r > 0.0)
-    lam = np.full(r.shape, np.inf)
-    idx = np.flatnonzero(valid)
-    if idx.size:
-        a = alpha[idx]
-        factor = np.maximum(1.0, np.maximum(np.sin(a) / sin_th, 0.5 / np.cos(a)))
-        lam[idx] = r[idx] * factor
+    ``psi`` (mirrored in local coordinates), under the builders' tie-break.
+    Returns (index, lam, r)."""
+    r, phi = _polar_arr(local[:, 0] - local[cur, 0], local[:, 1] - local[cur, 1])
+    lam = first_contact(np.mod(psi - phi, TWO_PI), r, sin_th)
     best = np.flatnonzero(lam == lam.min())
-    if not np.isfinite(lam[best[0]]):
+    win = int(best[np.argmin(phi[best])])  # ties go to the smaller angle, then index
+    if not np.isfinite(lam[win]):
         raise InvariantViolation("trapezoid growth found no candidate point")
-    win = min(best, key=lambda t: (phi[t], t))
-    return int(win), float(lam[win]), float(r[win])
+    return win, float(lam[win]), float(r[win])
 
 
 def ty_descent_path(
@@ -232,6 +201,8 @@ def ty_descent_path(
     """
     if ty.family is not Family.TRAPEZOIDAL_YAO:
         raise GeometryError(f"descent requires a trapezoidal-Yao graph, got {ty.family.value}")
+    if ty.ty_frames is None:
+        raise GeometryError("descent requires the trapezoidal-Yao selection frames (ty_frames)")
     if oy.family is not Family.OVERLAPPING_YAO:
         raise GeometryError(f"descent requires an overlapping-Yao graph, got {oy.family.value}")
     if oy.k != ty.k or oy.points != ty.points:
@@ -258,15 +229,11 @@ def ty_descent_path(
         raise GeometryError("precondition failed: placement direction o->p must lie on the cone grid")
 
     # empty interior: no point may enter the unit shape strictly before scale 1
-    # (boundary contact at scale 1 is allowed, hence the relative margin)
-    lx, ly = local[:, 0], local[:, 1]
-    can_enter = (lx > 0.0) & (ly >= 0.0)
-    r_all = np.hypot(lx, ly)
-    lam_unit = np.full(n, np.inf)
-    ce = np.flatnonzero(can_enter & (r_all > 0.0))
-    lam_unit[ce] = np.maximum(
-        r_all[ce], np.maximum(ly[ce] / math.sin(th), r_all[ce] ** 2 / (2.0 * lx[ce]))
-    )
+    # (boundary contact at scale 1 is allowed, hence the relative margin); the
+    # angle is left unnormalized so points below the bottom side never enter
+    sin_th = math.sin(th)
+    r_all = np.hypot(local[:, 0], local[:, 1])
+    lam_unit = first_contact(np.arctan2(local[:, 1], local[:, 0]), r_all, sin_th)
     inside = lam_unit < 1.0 - EPS_REL
     if np.any(inside):
         raise GeometryError(
@@ -282,7 +249,6 @@ def ty_descent_path(
     if not (0.0 < phi_ap < math.pi / 6):
         raise GeometryError(f"precondition failed: 0 < phi(a->p) < pi/6 (got {phi_ap})")
 
-    sin_th = math.sin(th)
     five_sixth = 5.0 * math.pi / 6.0
     vertices = [a]
     # (kind, local length, from-vertex, to-vertex, psi)
@@ -311,19 +277,18 @@ def ty_descent_path(
                 raise InvariantViolation(
                     f"descent expected trapezoidal-Yao edge {cur}->{win}, not present"
                 )
-            if ty.ty_frames is not None:
-                if frame.reflected:
-                    orient_g = normalize_angle(orient - psi)
-                    refl_g = False
-                else:
-                    orient_g = normalize_angle(orient + psi)
-                    refl_g = True
-                jg = round(orient_g / grid) % k
-                if (jg, refl_g) not in ty.ty_frames.get((cur, win), []):
-                    diagnostics.append(
-                        f"edge {cur}->{win}: growth frame ({jg}, reflected={refl_g}) "
-                        f"differs from its recorded selection frames"
-                    )
+            if frame.reflected:
+                orient_g = normalize_angle(orient - psi)
+                refl_g = False
+            else:
+                orient_g = normalize_angle(orient + psi)
+                refl_g = True
+            jg = round(orient_g / grid) % k
+            if (jg, refl_g) not in ty.ty_frames.get((cur, win), []):
+                diagnostics.append(
+                    f"edge {cur}->{win}: growth frame ({jg}, reflected={refl_g}) "
+                    f"differs from its recorded selection frames"
+                )
             raw_steps.append((StepKind.DIRECT_TY_EDGE, r_win, cur, win, psi))
             vertices.append(win)
         else:

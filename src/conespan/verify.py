@@ -8,7 +8,7 @@ details with witnesses); a run fails if any selected check fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -17,12 +17,11 @@ from .analysis import (
     is_connected,
     degree_stats,
     ratio_oracle,
+    stretch_bound,
     stretch_factor,
     subgraph_check,
-    t_bound,
-    tau_bound,
 )
-from .build import ConeGraph, Family, build_oy, build_ty, build_yao, build_yao_yao
+from .build import ConeGraph, Family, build_ty, build_yao, derive_oy, derive_yao_yao
 from .fileio import read_edges, read_points, validate_edges
 from .geometry import (
     Point,
@@ -31,7 +30,7 @@ from .geometry import (
     lhp_containment_check,
     theta,
 )
-from .paths import descent_length_bound, harvest_descent_configs, ty_descent_path
+from .paths import InvariantViolation, descent_length_bound, harvest_descent_configs, ty_descent_path
 from .pointgen import GenKind, GenSpec, gen_points
 
 
@@ -129,31 +128,22 @@ class CheckResult:
     details: dict
 
 
-def _graph_from_file(points: list[Point], k: int, family: Family, path: str) -> ConeGraph:
-    edges = read_edges(path)
-    validate_edges(points, edges)
-    return ConeGraph(tuple(points), k, family, frozenset(edges))
-
-
 def _get_graphs(cfg: RunConfig, points: list[Point]) -> dict[str, ConeGraph]:
-    builders = {
-        "yao": build_yao,
-        "yy": build_yao_yao,
-        "oy": build_oy,
-        "ty": build_ty,
+    """The four graphs by short name.  Yao is built once and Yao-Yao and
+    overlapping-Yao are derived from it.  An edge file replaces a graph's
+    edges, but its selection tables are always those rebuilt from the points,
+    so the path suites check loaded graphs against the reference selections."""
+    yao = build_yao(points, cfg.k)
+    graphs = {
+        "yao": yao,
+        "yy": derive_yao_yao(yao),
+        "oy": derive_oy(yao),
+        "ty": build_ty(points, cfg.k),
     }
-    families = {
-        "yao": Family.YAO,
-        "yy": Family.YAO_YAO,
-        "oy": Family.OVERLAPPING_YAO,
-        "ty": Family.TRAPEZOIDAL_YAO,
-    }
-    graphs = {}
-    for name, builder in builders.items():
-        if name in cfg.edge_files:
-            graphs[name] = _graph_from_file(points, cfg.k, families[name], cfg.edge_files[name])
-        else:
-            graphs[name] = builder(points, cfg.k)
+    for name, path in cfg.edge_files.items():
+        edges = read_edges(path)
+        validate_edges(points, edges)
+        graphs[name] = replace(graphs[name], edges=frozenset(edges))
     return graphs
 
 
@@ -206,27 +196,18 @@ def check_connectivity(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[Che
 
 def check_stretch_bounds(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
     tol = cfg.tolerance
-    tau = tau_bound(cfg.k)
     results = []
-    for name in ("oy", "ty"):
-        rep = stretch_factor(graphs[name], bound=tau, tol=tol)
+    for name in ("oy", "ty", "yy"):
+        bound = stretch_bound(name, cfg.k)
+        if bound is None:
+            continue
+        rep = stretch_factor(graphs[name], bound=bound, tol=tol)
         results.append(
             CheckResult(
                 f"stretch_{name}_bound",
                 bool(rep.bound_satisfied),
                 tol,
-                {"stretch": rep.stretch, "bound": tau, "witness": list(rep.witness)},
-            )
-        )
-    if cfg.k % 2 == 0 and cfg.k >= 84:
-        table = t_bound(cfg.k // 2)
-        rep = stretch_factor(graphs["yy"], bound=table.t_k, tol=tol)
-        results.append(
-            CheckResult(
-                "stretch_yy_bound",
-                bool(rep.bound_satisfied),
-                tol,
-                {"stretch": rep.stretch, "bound": table.t_k, "witness": list(rep.witness)},
+                {"stretch": rep.stretch, "bound": bound, "witness": list(rep.witness)},
             )
         )
     return results
@@ -239,7 +220,11 @@ def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckR
     worst_slack = math.inf
     failures = []
     for frame, a in configs:
-        trace = ty_descent_path(graphs["ty"], graphs["oy"], frame, a)
+        try:
+            trace = ty_descent_path(graphs["ty"], graphs["oy"], frame, a)
+        except InvariantViolation as exc:
+            failures.append({"o": frame.o, "a": a, "message": str(exc)})
+            continue
         bound = descent_length_bound(graphs["ty"], frame, a)
         slack = bound - trace.total_length
         worst_slack = min(worst_slack, slack)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conespan.build import (
+    FAMILIES,
     ConeGraph,
     DirectedEdge,
     Family,
@@ -16,6 +17,7 @@ from conespan.build import (
     undirected_pairs,
 )
 from conespan.analysis import subgraph_check
+from conespan.verify import RunConfig, _get_graphs
 from conespan.geometry import (
     GeometryError,
     HitPart,
@@ -262,6 +264,20 @@ class TestDegenerateInputs:
         ok, violations = subgraph_check(oy, ty)
         assert not ok
         assert (7, 4) in {(e.tail, e.head) for e in violations}
+
+    def test_verify_graphs_equal_public_builders(self, degenerate_sets):
+        # verify builds Yao once and derives Yao-Yao and overlapping-Yao from it
+        for pts in [*degenerate_sets.values(), random_points(60, 0), random_points(60, 1)]:
+            for k in (26, 30, 84):
+                graphs = _get_graphs(RunConfig(k=k), pts)
+                for name, (family, builder) in FAMILIES.items():
+                    ref, got = builder(pts, k), graphs[name]
+                    assert got.family is family and got.edges == ref.edges
+                    if ref.cone_choice is None:
+                        assert got.cone_choice is None
+                    else:
+                        assert np.array_equal(got.cone_choice, ref.cone_choice)
+                    assert got.ty_frames == ref.ty_frames
 
 
 @st.composite

@@ -131,6 +131,28 @@ class TestVerify:
         assert failed["name"] == "subgraph_oy_in_ty"
         assert [removed["tail"], removed["head"]] in failed["details"]["witnesses"]
 
+    def test_loaded_ty_edges_run_default_suites(self, workspace):
+        tmp_path, pts = workspace
+        ty_f = tmp_path / "ty.json"
+        assert run("build", "--family", "ty", "--k", "30", "--in", str(pts), "--out", str(ty_f)) == 0
+        code = run("verify", "--k", "30", "--in", str(pts), "--sector-samples", "20000",
+                   "--ratio-samples", "2000", "--edges-ty", str(ty_f))
+        assert code == 0
+
+    def test_gutted_oy_edges_fail_potential(self, workspace):
+        tmp_path, pts = workspace
+        gutted = tmp_path / "oy_gutted.json"
+        gutted.write_text("[]\n")
+        rep = tmp_path / "vfail.json"
+        code = run("verify", "--k", "30", "--in", str(pts), "--suite", "potential",
+                   "--edges-oy", str(gutted), "--out", str(rep))
+        assert code == 1
+        [check] = json.loads(rep.read_text())["checks"]
+        assert check["name"] == "potential_monotonicity" and not check["passed"]
+        witnesses = check["details"]["witnesses"]
+        assert witnesses
+        assert all("expected an overlapping-Yao edge" in w["message"] for w in witnesses)
+
     def test_small_k_config_error(self, workspace):
         _, pts = workspace
         assert run("verify", "--k", "20", "--in", str(pts)) == 2

@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conespan.analysis import tau_bound
 from conespan.build import build_oy, build_ty, build_yao
-from conespan.geometry import GeometryError, Point, dist
+from conespan.geometry import TWO_PI, GeometryError, Point, dist, theta
 from conespan.paths import (
     DescentFrame,
     InvariantViolation,
     StepKind,
+    _first_contact,
     _local_coords,
     descent_length_bound,
     harvest_descent_configs,
@@ -109,17 +111,16 @@ class TestOyGreedyPath:
         with pytest.raises(GeometryError, match="overlapping-Yao"):
             oy_greedy_path(g, 0, 1)
 
-    def test_works_without_selection_table(self):
-        pts = random_points(30, 11)
-        g = build_oy(pts, 26)
+    def test_rejects_graph_without_selection_table(self):
+        g = build_oy(random_points(30, 11), 26)
         stripped = type(g)(g.points, g.k, g.family, g.edges)  # no cone_choice
-        for u, v in [(0, 5), (12, 3), (29, 7)]:
-            assert oy_greedy_path(stripped, u, v).vertices == oy_greedy_path(g, u, v).vertices
+        with pytest.raises(GeometryError, match="selection table"):
+            oy_greedy_path(stripped, 0, 5)
 
     def test_missing_edge_signals_construction_bug(self):
         pts = random_points(30, 11)
         g = build_oy(pts, 26)
-        gutted = type(g)(g.points, g.k, g.family, frozenset())
+        gutted = replace(g, edges=frozenset())  # selection table kept, edges gone
         with pytest.raises(InvariantViolation, match="expected an overlapping-Yao edge"):
             oy_greedy_path(gutted, 0, 5)
 
@@ -266,3 +267,16 @@ class TestTyDescentPath:
         assert StepKind.DIRECT_TY_EDGE in seen
         assert StepKind.OY_SUBPATH in seen
         assert StepKind.FINAL_OY_SUBPATH in seen
+
+    def test_growth_tie_break_matches_build_ty(self):
+        # point 1 lies a hair below the polar axis: its angle rounds up to 2pi,
+        # which the shared normalizer maps to 0, so it ties point 2 on angle
+        # as well as scale and wins on index, in the descent's growth step
+        # exactly as in build_ty's mirrored frame 2
+        pts = [Point(0.0, 0.0), Point(0.5, -1e-300), Point(0.5, 0.0)]
+        k = 30
+        xy = np.array([[p.x, p.y] for p in pts])
+        win, _, _ = _first_contact(xy, 0, 2 * TWO_PI / k, math.sin(theta(k)))
+        frames = build_ty(pts, k).ty_frames
+        selected = {h for (t, h), fs in frames.items() if t == 0 and (2, True) in fs}
+        assert selected == {win} == {1}
