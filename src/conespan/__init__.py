@@ -18,7 +18,6 @@ from .analysis import (
     degree_stats,
     is_connected,
     ratio_oracle,
-    shortest_paths,
     stretch_factor,
     subgraph_check,
     t_bound,
@@ -27,7 +26,6 @@ from .analysis import (
 )
 from .build import (
     ConeGraph,
-    DirectedEdge,
     Family,
     build_oy,
     build_ty,
@@ -35,7 +33,6 @@ from .build import (
     build_yao_yao,
 )
 from .geometry import (
-    Cone,
     GeometryError,
     HitPart,
     HitResult,
@@ -50,7 +47,6 @@ from .geometry import (
     polar_angle,
     scale_to_hit,
     theta,
-    to_global,
     to_local,
 )
 from .paths import (
@@ -70,10 +66,8 @@ from .render import RenderOptions, render_svg
 
 __all__ = [
     "BoundTable",
-    "Cone",
     "ConeGraph",
     "DescentFrame",
-    "DirectedEdge",
     "Family",
     "GenKind",
     "GenSpec",
@@ -110,14 +104,12 @@ __all__ = [
     "ratio_oracle",
     "render_svg",
     "scale_to_hit",
-    "shortest_paths",
     "stretch_factor",
     "subgraph_check",
     "t_bound",
     "tau_bound",
     "tau_prime_bound",
     "theta",
-    "to_global",
     "to_local",
     "ty_descent_path",
 ]

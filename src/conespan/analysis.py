@@ -8,16 +8,16 @@ distance); every report records that choice.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .build import ConeGraph, DirectedEdge, as_point_array, undirected_pairs
+from .build import ConeGraph, as_point_array, edge_array, edge_lengths
 from .geometry import EPS_REL, GeometryError, Point, dist
 
 
@@ -98,54 +98,19 @@ def stretch_bound(short: str, k: int) -> float | None:
     return None
 
 
-def _undirected_adjacency(graph: ConeGraph) -> list[list[tuple[int, float]]]:
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(graph.n)]
-    for t, h in undirected_pairs(graph.edges):
-        w = dist(graph.points[t], graph.points[h])
-        adj[t].append((h, w))
-        adj[h].append((t, w))
-    return adj
+def _undirected(edges: np.ndarray, n: int) -> np.ndarray:
+    """Undirected support of an (m, 2) directed edge array over n vertices:
+    sorted, duplicate-free (a, b) rows with a < b."""
+    return edge_array(edges.min(axis=1), edges.max(axis=1), n)
 
 
-def shortest_paths(graph: ConeGraph, source: int) -> dict[int, float]:
-    """Single-source shortest path lengths over the undirected support;
-    unreachable vertices map to +inf."""
-    n = graph.n
-    if not 0 <= source < n:
-        raise GeometryError(f"source index out of range: {source}")
-    adj = _undirected_adjacency(graph)
-    distmap = {i: math.inf for i in range(n)}
-    distmap[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    done: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < distmap[v]:
-                distmap[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return distmap
-
-
-def _all_pairs_graph_dist(graph: ConeGraph) -> np.ndarray:
-    n = graph.n
-    pairs = undirected_pairs(graph.edges)
-    if not pairs:
-        mat = np.full((n, n), np.inf)
-        np.fill_diagonal(mat, 0.0)
-        return mat
-    rows, cols, data = [], [], []
-    for t, h in pairs:
-        w = dist(graph.points[t], graph.points[h])
-        rows += [t, h]
-        cols += [h, t]
-        data += [w, w]
-    sp = csr_matrix((data, (rows, cols)), shape=(n, n))
-    return _sparse_dijkstra(sp, directed=True)
+def _support_csr(graph: ConeGraph) -> csr_matrix:
+    """Symmetric sparse adjacency of the undirected support, weighted by
+    Euclidean edge length."""
+    support = _undirected(graph.edges, graph.n)
+    w = edge_lengths(graph.xy, support)
+    a, b = support.T
+    return csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(graph.n, graph.n))
 
 
 def stretch_factor(graph: ConeGraph, bound: float | None = None, tol: float = EPS_REL) -> SpannerReport:
@@ -155,8 +120,8 @@ def stretch_factor(graph: ConeGraph, bound: float | None = None, tol: float = EP
     n = graph.n
     if n < 2:
         raise GeometryError(f"stretch factor needs at least 2 points, got {n}")
-    xy = as_point_array(graph.points)
-    gd = _all_pairs_graph_dist(graph)
+    xy = graph.xy
+    gd = _sparse_dijkstra(_support_csr(graph), directed=True)
     delta = xy[:, None, :] - xy[None, :, :]
     euclid = np.hypot(delta[..., 0], delta[..., 1])
     np.fill_diagonal(euclid, 1.0)  # diagonal masked below
@@ -173,51 +138,35 @@ def stretch_factor(graph: ConeGraph, bound: float | None = None, tol: float = EP
 
 def degree_stats(graph: ConeGraph) -> tuple[int, dict[int, int]]:
     """Maximum degree and degree histogram of the undirected support."""
-    counts = np.zeros(graph.n, dtype=np.int64)
-    for t, h in undirected_pairs(graph.edges):
-        counts[t] += 1
-        counts[h] += 1
-    hist: dict[int, int] = {}
-    for c in counts:
-        hist[int(c)] = hist.get(int(c), 0) + 1
-    return (int(counts.max()) if graph.n else 0), hist
+    counts = np.bincount(_undirected(graph.edges, graph.n).ravel(), minlength=graph.n)
+    degrees, freq = np.unique(counts, return_counts=True)
+    return (int(counts.max()) if graph.n else 0), dict(zip(degrees.tolist(), freq.tolist()))
 
 
 def is_connected(graph: ConeGraph) -> bool:
     """Connectivity of the undirected support (vacuously true below 2 vertices)."""
-    n = graph.n
-    if n <= 1:
+    if graph.n <= 1:
         return True
-    adj = _undirected_adjacency(graph)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+    return connected_components(_support_csr(graph), directed=False)[0] == 1
 
 
-def subgraph_check(inner: ConeGraph, outer: ConeGraph) -> tuple[bool, list[DirectedEdge]]:
+def subgraph_check(inner: ConeGraph, outer: ConeGraph) -> tuple[bool, np.ndarray]:
     """True iff every directed edge of ``inner`` appears in ``outer`` (same
-    point sequence required); returns the violating edges otherwise."""
+    point sequence required); returns the violating (tail, head) rows, in
+    sorted order, otherwise."""
     if inner.points != outer.points:
         raise GeometryError("subgraph check requires identical point sequences")
-    missing = sorted(
-        (e for e in inner.edges if (e.tail, e.head) not in outer.edge_pairs),
-        key=lambda e: (e.tail, e.head),
-    )
-    return (not missing), missing
+    key = (inner.n, 1)  # (tail, head) -> tail * n + head
+    missing = inner.edges[~np.isin(inner.edges @ key, outer.edges @ key)]
+    return (not missing.size), missing
 
 
 def brute_force_stretch(points, edges) -> float:
     """Independent stretch oracle: exhaustive all-pairs relaxation
     (Floyd-Warshall) over the undirected support, for n <= 12 points.
 
-    ``edges`` may be DirectedEdge records or (tail, head) pairs; weights are
-    recomputed from the coordinates.
+    ``edges`` holds (tail, head) pairs; weights are recomputed from the
+    coordinates.
     """
     xy = as_point_array(points)
     n = xy.shape[0]
@@ -227,8 +176,7 @@ def brute_force_stretch(points, edges) -> float:
         raise GeometryError("stretch needs at least 2 points")
     w = np.full((n, n), math.inf)
     np.fill_diagonal(w, 0.0)
-    for e in edges:
-        t, h = (e.tail, e.head) if isinstance(e, DirectedEdge) else (e[0], e[1])
+    for t, h in edges:
         d = math.hypot(xy[h, 0] - xy[t, 0], xy[h, 1] - xy[t, 1])
         if d < w[t, h]:
             w[t, h] = w[h, t] = d

@@ -14,11 +14,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import EPS_REL, TWO_PI, GeometryError, Point, _polar_arr, first_contact, theta
+from .geometry import TWO_PI, GeometryError, Point, _polar_arr, first_contact, on_critical_arc, theta
 
 
 class Family(str, Enum):
@@ -28,47 +29,57 @@ class Family(str, Enum):
     TRAPEZOIDAL_YAO = "trapezoidal_yao"
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
-    tail: int
-    head: int
-    length: float
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConeGraph:
     """A point set plus the directed edges selected by one cone family.
 
-    Instances are immutable by convention once built.  ``cone_choice`` (for
-    the Yao and overlapping-Yao families) maps (vertex, cone index) to the
-    selected head vertex (-1 where the cone is empty); ``ty_frames`` (for the
-    trapezoidal family) maps each directed edge to the list of
-    (orientation index, reflected) frames that selected it.
+    ``xy`` holds the validated (n, 2) coordinates of ``points``.  ``edges`` is
+    a duplicate-free (m, 2) int64 array of (tail, head) rows sorted
+    lexicographically; edge lengths follow from the coordinates.  Arrays are
+    immutable by convention.  ``cone_choice`` (for the Yao and
+    overlapping-Yao families) maps (vertex, cone index) to the selected head
+    vertex (-1 where the cone is empty); ``ty_frames`` (for the trapezoidal
+    family) maps each directed edge to the list of (orientation index,
+    reflected) frames that selected it.
     """
 
     points: tuple[Point, ...]
+    xy: np.ndarray = field(repr=False)
     k: int
     family: Family
-    edges: frozenset[DirectedEdge]
-    cone_choice: np.ndarray | None = field(default=None, compare=False, repr=False)
-    ty_frames: dict[tuple[int, int], list[tuple[int, bool]]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    edges: np.ndarray = field(repr=False)
+    cone_choice: np.ndarray | None = field(default=None, repr=False)
+    ty_frames: dict[tuple[int, int], list[tuple[int, bool]]] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     @property
+    def lengths(self) -> np.ndarray:
+        """Euclidean length of each edge, in ``edges`` order."""
+        return edge_lengths(self.xy, self.edges)
+
+    @cached_property
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        cached = getattr(self, "_edge_pairs", None)
-        if cached is None:
-            cached = frozenset((e.tail, e.head) for e in self.edges)
-            object.__setattr__(self, "_edge_pairs", cached)
-        return cached
+        return frozenset(map(tuple, self.edges.tolist()))
 
     def has_edge(self, tail: int, head: int) -> bool:
         return (tail, head) in self.edge_pairs
+
+
+def edge_array(tails: np.ndarray, heads: np.ndarray, n: int) -> np.ndarray:
+    """The (tail, head) rows of ``tails``/``heads`` over n vertices as a
+    sorted, duplicate-free (m, 2) int64 array."""
+    keys = np.unique(np.asarray(tails, dtype=np.int64) * n + heads)
+    return np.column_stack(np.divmod(keys, n))
+
+
+def edge_lengths(xy: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the (tail, head) rows of ``edges`` over the
+    coordinates ``xy``."""
+    tails, heads = edges.T
+    return np.hypot(*(xy[heads] - xy[tails]).T)
 
 
 def as_point_array(points: Sequence[Point]) -> np.ndarray:
@@ -101,18 +112,13 @@ def _cone_index_arr(k: int, phi: np.ndarray) -> np.ndarray:
     return j
 
 
-def _edge_set(tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> frozenset[DirectedEdge]:
-    return frozenset(map(DirectedEdge, tails.tolist(), heads.tolist(), lengths.tolist()))
-
-
 def _from_choice(
     family: Family, points: tuple[Point, ...], xy: np.ndarray, choice: np.ndarray
 ) -> ConeGraph:
     """The graph of a selection table: an edge i -> choice[i, j] per occupied cone."""
     tails, _ = np.nonzero(choice >= 0)
-    heads = choice[choice >= 0]
-    r, _ = _polar_arr(*(xy[heads] - xy[tails]).T)
-    return ConeGraph(points, choice.shape[1], family, _edge_set(tails, heads, r), cone_choice=choice)
+    edges = edge_array(tails, choice[choice >= 0], xy.shape[0])
+    return ConeGraph(points, xy, choice.shape[1], family, edges, cone_choice=choice)
 
 
 def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
@@ -134,16 +140,14 @@ def derive_yao_yao(yao: ConeGraph) -> ConeGraph:
     """Yao-Yao graph: reverse-Yao step on a built Yao graph.  Per vertex u and
     per cone around u, among incoming Yao edges v->u with v inside the cone,
     only the tie-broken shortest survives."""
-    xy = as_point_array(yao.points)
     k = yao.k
-    tails, _ = np.nonzero(yao.cone_choice >= 0)
-    heads = yao.cone_choice[yao.cone_choice >= 0]
+    tails, heads = yao.edges.T
     # evaluate each edge in its head's frame: direction and cone of head->tail
-    r, phi = _polar_arr(*(xy[tails] - xy[heads]).T)
+    r, phi = _polar_arr(*(yao.xy[tails] - yao.xy[heads]).T)
     order = np.lexsort((tails, phi, r))
     _, first = np.unique((heads * k + _cone_index_arr(k, phi))[order], return_index=True)
-    keep = order[first]
-    return ConeGraph(yao.points, k, Family.YAO_YAO, _edge_set(tails[keep], heads[keep], r[keep]))
+    # a subset of a sorted duplicate-free edge array, kept in order, is one too
+    return ConeGraph(yao.points, yao.xy, k, Family.YAO_YAO, yao.edges[np.sort(order[first])])
 
 
 def build_yao_yao(points: Sequence[Point], k: int) -> ConeGraph:
@@ -160,12 +164,11 @@ def derive_oy(yao: ConeGraph) -> ConeGraph:
     selections: a cyclic window minimum over each Yao selection's rank among
     its vertex's selections under the (distance, polar angle, index) order.
     """
-    xy = as_point_array(yao.points)
     choice = yao.cone_choice
     n, k = choice.shape
     tails = np.repeat(np.arange(n), k)
     heads = choice.ravel()
-    r, phi = _polar_arr(*(xy[heads] - xy[tails]).T)
+    r, phi = _polar_arr(*(yao.xy[heads] - yao.xy[tails]).T)
     r[heads < 0] = np.inf  # empty cones rank last
     order = np.lexsort((heads, phi, r, tails))
     ranked = heads[order].reshape(n, k)  # per vertex: selections in tie-break order
@@ -175,7 +178,7 @@ def derive_oy(yao: ConeGraph) -> ConeGraph:
         np.minimum(best, np.roll(rank, -shift, axis=1), out=best)
     oy_choice = np.take_along_axis(ranked, best, axis=1)
     # identical selections across overlapping cones collapse in the edge set
-    return _from_choice(Family.OVERLAPPING_YAO, yao.points, xy, oy_choice)
+    return _from_choice(Family.OVERLAPPING_YAO, yao.points, yao.xy, oy_choice)
 
 
 def build_oy(points: Sequence[Point], k: int) -> ConeGraph:
@@ -202,7 +205,6 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     xy = as_point_array(points)
     sin_th = np.sin(th)
     psi = np.arange(k) * (TWO_PI / k)
-    edges: set[DirectedEdge] = set()
     frames: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for i in range(xy.shape[0]):
         cand, r, phi = _candidate_polar(xy, i)
@@ -218,12 +220,13 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
                 alpha = np.mod(phi[:, None] - psi[None, :], TWO_PI)
             lam = first_contact(alpha, r[:, None], sin_th)
             rows = np.argmin(lam, axis=0)
-            critical = lam[rows, np.arange(k)] <= r[rows] * (1.0 + EPS_REL)
-            for j in np.flatnonzero(critical):
-                head = int(cand[rows[j]])
-                edges.add(DirectedEdge(i, head, float(r[rows[j]])))
-                frames.setdefault((i, head), []).append((int(j), reflected))
-    return ConeGraph(tuple(points), k, Family.TRAPEZOIDAL_YAO, frozenset(edges), ty_frames=frames)
+            js = np.flatnonzero(on_critical_arc(lam[rows, np.arange(k)], r[rows]))
+            for j, head in zip(js.tolist(), cand[rows[js]].tolist()):
+                frames.setdefault((i, head), []).append((j, reflected))
+    # the edge set is the key set of the selection frames
+    pairs = np.array(list(frames), dtype=np.int64).reshape(-1, 2)
+    edges = edge_array(pairs[:, 0], pairs[:, 1], xy.shape[0])
+    return ConeGraph(tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_frames=frames)
 
 
 # CLI short name -> (family, builder)
@@ -233,8 +236,3 @@ FAMILIES = {
     "oy": (Family.OVERLAPPING_YAO, build_oy),
     "ty": (Family.TRAPEZOIDAL_YAO, build_ty),
 }
-
-
-def undirected_pairs(edges: Iterable[DirectedEdge]) -> set[tuple[int, int]]:
-    """Undirected support of a directed edge set, as (min, max) index pairs."""
-    return {(min(e.tail, e.head), max(e.tail, e.head)) for e in edges}

@@ -1,7 +1,7 @@
 """Command-line driver: gen, build, stretch, path, verify, render.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 I/O or parse error.
+Exit codes: 0 success, 1 verification failure (including a path algorithm's
+invariant violation), 2 usage or configuration error, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .analysis import stretch_bound, stretch_factor
 from .build import FAMILIES, build_oy, build_ty
 from .fileio import ParseError, read_edges, read_points, write_edges, write_points, write_report
 from .geometry import GeometryError
-from .paths import harvest_descent_configs, oy_greedy_path, ty_descent_path
+from .paths import InvariantViolation, harvest_descent_configs, oy_greedy_path, ty_descent_path
 from .pointgen import GenKind
 from .render import render_svg
 from .verify import ConfigError, RunConfig, cmd_verify
@@ -133,7 +133,7 @@ def _cmd_build(args) -> int:
     cfg.validate(require_family=True)
     points = cfg.load_points()
     graph = FAMILIES[args.family][1](points, args.k)
-    write_edges(args.out, graph.edges)
+    write_edges(args.out, graph.edges, graph.lengths)
     if args.points_out:
         write_points(args.points_out, points, args.format)
     print(f"{args.family} k={args.k}: {len(graph.edges)} directed edges over {len(points)} points")
@@ -246,7 +246,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     points = read_points(args.infile)
-    edges = read_edges(args.edges) if args.edges else []
+    edges = read_edges(args.edges)[0] if args.edges else []
     witness = None
     if args.witness:
         try:
@@ -280,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InvariantViolation as exc:  # a path step contradicted the construction
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

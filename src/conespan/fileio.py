@@ -9,10 +9,13 @@ write-then-read returns identical values.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from .build import DirectedEdge
-from .geometry import GeometryError, Point, dist
+import numpy as np
+
+from .build import edge_lengths
+from .geometry import GeometryError, Point
 
 
 class ParseError(ValueError):
@@ -85,41 +88,73 @@ def write_points(path: str | Path, points: list[Point], fmt: str | None = None) 
         Path(path).write_text(json.dumps([[p.x, p.y] for p in points]) + "\n")
 
 
-def read_edges(path: str | Path) -> list[DirectedEdge]:
+def read_edges(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Edge records as an (m, 2) int64 array of (tail, head) rows, in file
+    order, and the (m,) array of their recorded lengths.  Endpoints must be
+    JSON integers and lengths finite numbers."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(data, list):
         raise ParseError(f"{path}: expected a JSON array of edge records")
-    edges = []
     for i, rec in enumerate(data):
         if not (isinstance(rec, dict) and {"tail", "head", "length"} <= rec.keys()):
             raise ParseError(f"{path}: entry {i} lacks tail/head/length: {rec!r}")
-        edges.append(DirectedEdge(int(rec["tail"]), int(rec["head"]), float(rec["length"])))
-    return edges
+        tail, head, length = rec["tail"], rec["head"], rec["length"]
+        if not (type(tail) is int and type(head) is int and type(length) in (int, float)):
+            raise ParseError(f"{path}: entry {i} needs integer tail/head and a numeric length: {rec!r}")
+    try:
+        edges = np.array([(rec["tail"], rec["head"]) for rec in data], dtype=np.int64).reshape(-1, 2)
+        lengths = np.array([rec["length"] for rec in data], dtype=float)
+    except OverflowError:
+        raise ParseError(f"{path}: an edge endpoint or length is out of range") from None
+    if not np.isfinite(lengths).all():
+        i = int(np.argmax(~np.isfinite(lengths)))
+        raise ParseError(f"{path}: entry {i} length must be finite: {data[i]!r}")
+    return edges, lengths
 
 
-def write_edges(path: str | Path, edges) -> None:
+def write_edges(path: str | Path, edges: np.ndarray, lengths: np.ndarray) -> None:
+    """Write (tail, head) rows with their lengths as edge records, in the given
+    order (a graph's edge array is sorted by (tail, head))."""
     records = [
-        {"tail": e.tail, "head": e.head, "length": e.length}
-        for e in sorted(edges, key=lambda e: (e.tail, e.head))
+        {"tail": t, "head": h, "length": d}
+        for (t, h), d in zip(edges.tolist(), lengths.tolist())
     ]
     Path(path).write_text(json.dumps(records, indent=1) + "\n")
 
 
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def write_report(path: str | Path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    """Write a report as strict JSON: non-finite floats (a disconnected
+    graph's infinite stretch) become null."""
+    text = json.dumps(_finite(report), indent=1, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
-def validate_edges(points: list[Point], edges: list[DirectedEdge], tol: float = 1e-12) -> None:
-    """Check that edge indices are in range and lengths match the coordinates."""
-    n = len(points)
-    for e in edges:
-        if not (0 <= e.tail < n and 0 <= e.head < n) or e.tail == e.head:
-            raise ParseError(f"edge {e.tail}->{e.head} has invalid endpoints for {n} points")
-        d = dist(points[e.tail], points[e.head])
-        if abs(d - e.length) > tol * max(1.0, d):
-            raise ParseError(
-                f"edge {e.tail}->{e.head} length {e.length} disagrees with coordinates ({d})"
-            )
+def validate_edges(xy: np.ndarray, edges: np.ndarray, lengths: np.ndarray, tol: float = 1e-12) -> None:
+    """Check that edge indices are in range over the (n, 2) coordinates ``xy``
+    and that lengths match the coordinates."""
+    n = xy.shape[0]
+    tails, heads = edges.T
+    bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads)
+    if bad.any():
+        t, h = edges[np.argmax(bad)]
+        raise ParseError(f"edge {t}->{h} has invalid endpoints for {n} points")
+    d = edge_lengths(xy, edges)
+    bad = ~(np.abs(d - lengths) <= tol * np.maximum(1.0, d))
+    if bad.any():
+        i = int(np.argmax(bad))
+        t, h = edges[i]
+        raise ParseError(f"edge {t}->{h} length {lengths[i]} disagrees with coordinates ({d[i]})")

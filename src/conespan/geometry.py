@@ -1,4 +1,4 @@
-"""Planar primitives: angles modulo 2pi, cones, placement frames, and the
+"""Planar primitives: angles modulo 2pi, cone indices, placement frames, and the
 curved-trapezoid geometry with its first-contact (dilation) computation.
 
 All angles are radians normalized to [0, 2pi); angle subtraction means the
@@ -128,28 +128,6 @@ def theta(k: int) -> float:
     return max(-(-k // 8) * (TWO_PI / k), 0.25 * math.pi)
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Half-open cone: direction phi is inside iff (phi - lo) mod 2pi < width."""
-
-    apex: Point
-    lo: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.width <= TWO_PI):
-            raise GeometryError(f"cone width must be in (0, 2pi], got {self.width}")
-        object.__setattr__(self, "lo", normalize_angle(self.lo))
-
-    def contains_direction(self, phi: float) -> bool:
-        return ccw_diff(phi, self.lo) < self.width
-
-    def contains(self, p: Point) -> bool:
-        if p.x == self.apex.x and p.y == self.apex.y:
-            return False
-        return self.contains_direction(polar_angle(self.apex, p))
-
-
 class HitPart(str, Enum):
     """Boundary piece of the growing trapezoid that first reaches a point."""
 
@@ -204,15 +182,6 @@ def to_local(frame: TrapezoidFrame, w: Point) -> Point:
     return Point(x, y)
 
 
-def to_global(frame: TrapezoidFrame, w: Point) -> Point:
-    """Inverse of :func:`to_local`."""
-    x = w.x
-    y = -w.y if frame.reflected else w.y
-    c = math.cos(frame.orientation)
-    s = math.sin(frame.orientation)
-    return Point(c * x - s * y + frame.apex.x, s * x + c * y + frame.apex.y)
-
-
 def trapezoid_contains(th: float, x: float, y: float, scale: float = 1.0, closed: bool = False) -> bool:
     """Membership in the curved trapezoid with cap angle ``th`` scaled by ``scale``.
 
@@ -254,15 +223,24 @@ def scale_to_hit(frame: TrapezoidFrame, w: Point) -> HitResult:
     if loc.x <= 0.0 or loc.y < 0.0:
         return HitResult(math.inf, HitPart.NONE)
     r = math.hypot(loc.x, loc.y)
-    c_crit = r
     c_top = loc.y / math.sin(frame.theta)
     c_near = r * r / (2.0 * loc.x)
-    lam = max(c_crit, c_top, c_near)
-    if c_crit >= lam * (1.0 - EPS_REL):
+    lam = max(r, c_top, c_near)
+    if on_critical_arc(lam, r):
         return HitResult(lam, HitPart.CRITICAL_ARC)
     if c_top >= lam * (1.0 - EPS_REL):
         return HitResult(lam, HitPart.TOP)
     return HitResult(lam, HitPart.NEAR_ARC)
+
+
+def on_critical_arc(lam, r):
+    """Whether a first contact at dilation ``lam`` of a point at distance ``r``
+    from the apex lands on the critical arc, i.e. lam <= r within EPS_REL.
+
+    The one tolerance form of the critical-arc test, shared by the builder,
+    the descent and :func:`scale_to_hit`; works on scalars and arrays.
+    """
+    return lam <= r * (1.0 + EPS_REL)
 
 
 def first_contact(alpha: np.ndarray, r: np.ndarray, sin_th: float) -> np.ndarray:

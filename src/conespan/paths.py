@@ -34,6 +34,7 @@ from .geometry import (
     dist,
     first_contact,
     normalize_angle,
+    on_critical_arc,
     polar_angle,
     theta,
 )
@@ -210,15 +211,14 @@ def ty_descent_path(
     k = ty.k
     th = theta(k)
     tau = tau_bound(k)
-    points = ty.points
-    n = len(points)
+    n = ty.n
     o = frame.o
     if not (0 <= o < n and 0 <= a < n):
         raise GeometryError(f"vertex index out of range: o={o}, a={a}, n={n}")
     if a == o:
         raise GeometryError("witness must differ from the apex")
 
-    xy = np.asarray([(p.x, p.y) for p in points], dtype=float)
+    xy = ty.xy
     local, scale = _local_coords(xy, o, frame.p, frame.reflected)
     grid = TWO_PI / k
     orient = math.atan2(frame.p.y - xy[o, 1], frame.p.x - xy[o, 0])
@@ -272,7 +272,7 @@ def ty_descent_path(
             raise InvariantViolation(
                 f"descent step {cur}->{win} did not approach the apex ({d_win} >= {d_cur})"
             )
-        if lam <= r_win * (1.0 + EPS_REL):  # critical-arc hit: a TY edge is certified
+        if on_critical_arc(lam, r_win):  # a TY edge is certified
             if not ty.has_edge(cur, win):
                 raise InvariantViolation(
                     f"descent expected trapezoidal-Yao edge {cur}->{win}, not present"
@@ -318,8 +318,7 @@ def ty_descent_path(
 def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
     """Guaranteed ceiling x_a + (2*tau + 1)*|y_a| on the descent length, in
     the same frame-local units the trace reports."""
-    xy = np.asarray([(p.x, p.y) for p in ty.points], dtype=float)
-    local, _ = _local_coords(xy, frame.o, frame.p, frame.reflected)
+    local, _ = _local_coords(ty.xy, frame.o, frame.p, frame.reflected)
     tau = tau_bound(ty.k)
     return float(local[a, 0] + (2.0 * tau + 1.0) * abs(local[a, 1]))
 
@@ -333,7 +332,7 @@ def harvest_descent_configs(ty: ConeGraph) -> list[tuple[DescentFrame, int]]:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
     k = ty.k
     grid = TWO_PI / k
-    xy = np.asarray([(p.x, p.y) for p in ty.points], dtype=float)
+    xy = ty.xy
     configs: list[tuple[DescentFrame, int]] = []
     for (t, h), frame_list in sorted(ty.ty_frames.items()):
         s = math.hypot(xy[h, 0] - xy[t, 0], xy[h, 1] - xy[t, 1])

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import undirected_pairs
+import numpy as np
+
+from .analysis import _undirected
 from .geometry import Point
 
 
@@ -34,8 +36,9 @@ def render_svg(
     witness_path: list[int] | None = None,
     options: RenderOptions = RenderOptions(),
 ) -> str:
-    """One marker per point, one line per undirected edge, and an optional
-    highlighted witness path (a vertex index sequence)."""
+    """One marker per point, one line per undirected edge of ``edges`` (an
+    (m, 2) array of (tail, head) rows), and an optional highlighted witness
+    path (a vertex index sequence)."""
     opts = options
     if points:
         xs = [p.x for p in points]
@@ -60,24 +63,21 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(opts.width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(opts.width)} {_fmt(height)}">'
     ]
-    for t, h in sorted(undirected_pairs(edges)):
+    cx = [_fmt(sx(p.x)) for p in points]
+    cy = [_fmt(sy(p.y)) for p in points]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    for t, h in _undirected(edges, len(points)).tolist():
         parts.append(
-            f'<line x1="{_fmt(sx(points[t].x))}" y1="{_fmt(sy(points[t].y))}" '
-            f'x2="{_fmt(sx(points[h].x))}" y2="{_fmt(sy(points[h].y))}" '
+            f'<line x1="{cx[t]}" y1="{cy[t]}" x2="{cx[h]}" y2="{cy[h]}" '
             f'stroke="{opts.edge_color}" stroke-width="{_fmt(opts.edge_width)}"/>'
         )
     if witness_path and len(witness_path) >= 2:
-        coords = " ".join(
-            f"{_fmt(sx(points[i].x))},{_fmt(sy(points[i].y))}" for i in witness_path
-        )
+        coords = " ".join(f"{cx[i]},{cy[i]}" for i in witness_path)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{opts.path_color}" '
             f'stroke-width="{_fmt(opts.path_width)}"/>'
         )
-    for p in points:
-        parts.append(
-            f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" '
-            f'r="{_fmt(opts.point_radius)}" fill="{opts.point_color}"/>'
-        )
+    for x, y in zip(cx, cy):
+        parts.append(f'<circle cx="{x}" cy="{y}" r="{_fmt(opts.point_radius)}" fill="{opts.point_color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -21,7 +21,7 @@ from .analysis import (
     stretch_factor,
     subgraph_check,
 )
-from .build import ConeGraph, Family, build_ty, build_yao, derive_oy, derive_yao_yao
+from .build import ConeGraph, Family, build_ty, build_yao, derive_oy, derive_yao_yao, edge_array
 from .fileio import read_edges, read_points, validate_edges
 from .geometry import (
     Point,
@@ -141,14 +141,11 @@ def _get_graphs(cfg: RunConfig, points: list[Point]) -> dict[str, ConeGraph]:
         "ty": build_ty(points, cfg.k),
     }
     for name, path in cfg.edge_files.items():
-        edges = read_edges(path)
-        validate_edges(points, edges)
-        graphs[name] = replace(graphs[name], edges=frozenset(edges))
+        edges, lengths = read_edges(path)
+        g = graphs[name]
+        validate_edges(g.xy, edges, lengths)
+        graphs[name] = replace(g, edges=edge_array(edges[:, 0], edges[:, 1], g.n))
     return graphs
-
-
-def _edge_list(edges, limit: int = 5) -> list[list[int]]:
-    return [[e.tail, e.head] for e in edges[:limit]]
 
 
 def check_subgraph(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
@@ -159,13 +156,13 @@ def check_subgraph(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckRe
             "subgraph_yy_in_yao",
             ok_yy,
             0.0,
-            {"violations": len(viol_yy), "witnesses": _edge_list(viol_yy)},
+            {"violations": len(viol_yy), "witnesses": viol_yy[:5].tolist()},
         ),
         CheckResult(
             "subgraph_oy_in_ty",
             ok_oy,
             0.0,
-            {"violations": len(viol_oy), "witnesses": _edge_list(viol_oy)},
+            {"violations": len(viol_oy), "witnesses": viol_oy[:5].tolist()},
         ),
     ]
 

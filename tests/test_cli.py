@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from conespan.cli import main
+from conespan.paths import InvariantViolation
 
 
 def run(*argv) -> int:
@@ -75,6 +77,15 @@ class TestPath:
         ) == 0
         trace = json.loads(out.read_text())
         assert trace["vertices"][0] == 0 and trace["vertices"][-1] == 17
+
+    def test_invariant_violation_exits_1_without_traceback(self, workspace, monkeypatch, capsys):
+        def broken(graph, u, v):
+            raise InvariantViolation("greedy hop did not approach the target")
+
+        monkeypatch.setattr("conespan.cli.oy_greedy_path", broken)
+        _, pts = workspace
+        assert run("path", "--family", "oy", "--k", "30", "--in", str(pts), "--source", "0", "--target", "17") == 1
+        assert capsys.readouterr().err.startswith("error: greedy hop did not approach the target")
 
     def test_oy_path_needs_endpoints(self, workspace):
         _, pts = workspace
@@ -152,6 +163,42 @@ class TestVerify:
         witnesses = check["details"]["witnesses"]
         assert witnesses
         assert all("expected an overlapping-Yao edge" in w["message"] for w in witnesses)
+
+    def test_disconnected_graphs_give_strict_json_report(self, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        rep = tmp_path / "rep.json"
+        code = run("verify", "--k", "30", "--n", "60", "--edges-oy", str(empty),
+                   "--edges-ty", str(empty), "--out", str(rep))
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(rep.read_text(), parse_constant=reject)
+        checks = {c["name"]: c for c in report["checks"]}
+        for name in ("stretch_oy_bound", "stretch_ty_bound"):
+            assert not checks[name]["passed"] and checks[name]["details"]["stretch"] is None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda rec: {**rec, "tail": None},
+            lambda rec: {**rec, "tail": "x"},
+            lambda rec: {**rec, "tail": rec["tail"] + 0.5},  # would truncate to a valid edge
+            lambda rec: {**rec, "length": math.nan},  # compares false against any tolerance
+        ],
+        ids=["null_tail", "string_tail", "fractional_tail", "nan_length"],
+    )
+    def test_malformed_edge_record_is_parse_error(self, workspace, corrupt, capsys):
+        tmp_path, pts = workspace
+        oy_f = tmp_path / "oy.json"
+        assert run("build", "--family", "oy", "--k", "30", "--in", str(pts), "--out", str(oy_f)) == 0
+        records = json.loads(oy_f.read_text())
+        records[0] = corrupt(records[0])
+        oy_f.write_text(json.dumps(records))
+        assert run("verify", "--k", "30", "--in", str(pts), "--suite", "subgraph", "--edges-oy", str(oy_f)) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_small_k_config_error(self, workspace):
         _, pts = workspace

@@ -113,14 +113,14 @@ class TestOyGreedyPath:
 
     def test_rejects_graph_without_selection_table(self):
         g = build_oy(random_points(30, 11), 26)
-        stripped = type(g)(g.points, g.k, g.family, g.edges)  # no cone_choice
+        stripped = replace(g, cone_choice=None)
         with pytest.raises(GeometryError, match="selection table"):
             oy_greedy_path(stripped, 0, 5)
 
     def test_missing_edge_signals_construction_bug(self):
         pts = random_points(30, 11)
         g = build_oy(pts, 26)
-        gutted = replace(g, edges=frozenset())  # selection table kept, edges gone
+        gutted = replace(g, edges=g.edges[:0])  # selection table kept, edges gone
         with pytest.raises(InvariantViolation, match="expected an overlapping-Yao edge"):
             oy_greedy_path(gutted, 0, 5)
 
@@ -244,8 +244,7 @@ class TestTyDescentPath:
         # selection frames; dropping the records must surface a mismatch on
         # any trace that takes a direct edge
         pts, ty, oy = setup
-        doctored = type(ty)(ty.points, ty.k, ty.family, ty.edges,
-                            ty_frames={pair: [] for pair in ty.ty_frames})
+        doctored = replace(ty, ty_frames={pair: [] for pair in ty.ty_frames})
         for frame, a in harvest_descent_configs(ty)[:50]:
             tr = ty_descent_path(doctored, oy, frame, a)
             if any(s.kind is StepKind.DIRECT_TY_EDGE for s in tr.steps):

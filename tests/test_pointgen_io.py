@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from conespan.build import DirectedEdge, build_yao
+from conespan.build import build_yao
 from conespan.fileio import (
     ParseError,
     read_edges,
@@ -101,7 +102,7 @@ class TestEdgeFiles:
     def test_two_point_yao_records(self, tmp_path):
         g = build_yao([Point(0, 0), Point(1, 0)], 8)
         path = tmp_path / "edges.json"
-        write_edges(path, g.edges)
+        write_edges(path, g.edges, g.lengths)
         records = json.loads(path.read_text())
         assert records == [
             {"tail": 0, "head": 1, "length": 1.0},
@@ -109,18 +110,23 @@ class TestEdgeFiles:
         ]
 
     def test_round_trip(self, tmp_path):
-        edges = [DirectedEdge(0, 1, 0.5), DirectedEdge(2, 0, 1.25)]
+        edges = np.array([[0, 1], [2, 0]])
+        lengths = np.array([0.5, 1.25])
         path = tmp_path / "edges.json"
-        write_edges(path, edges)
-        assert set(read_edges(path)) == set(edges)
+        write_edges(path, edges, lengths)
+        got_edges, got_lengths = read_edges(path)
+        assert got_edges.dtype == np.int64
+        assert got_edges.tolist() == edges.tolist() and got_lengths.tolist() == lengths.tolist()
 
     def test_validate_edges(self):
-        pts = [Point(0, 0), Point(1, 0)]
-        validate_edges(pts, [DirectedEdge(0, 1, 1.0)])
+        xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+        validate_edges(xy, np.array([[0, 1]]), np.array([1.0]))
         with pytest.raises(ParseError, match="endpoints"):
-            validate_edges(pts, [DirectedEdge(0, 5, 1.0)])
+            validate_edges(xy, np.array([[0, 5]]), np.array([1.0]))
         with pytest.raises(ParseError, match="disagrees"):
-            validate_edges(pts, [DirectedEdge(0, 1, 2.0)])
+            validate_edges(xy, np.array([[0, 1]]), np.array([2.0]))
+        with pytest.raises(ParseError, match="disagrees"):
+            validate_edges(xy, np.array([[0, 1]]), np.array([math.nan]))
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "edges.json"
