@@ -341,9 +341,16 @@ class TestBuilderFuzz:
 class TestScaleInvariance:
     # uniform scaling by a power of two is exact in floating point, so the
     # selected edges must be identical at any such scale
+    @pytest.mark.parametrize("factor", [2.0**-20, 2.0**18])
+    def test_power_of_two_scaling_preserves_edges(self, factor):
+        pts = random_points(40, 12)
+        scaled = [Point(p.x * factor, p.y * factor) for p in pts]
+        for build, k in ((build_yao, 9), (build_yao_yao, 9), (build_oy, 26), (build_ty, 26)):
+            assert np.array_equal(build(pts, k).edges, build(scaled, k).edges)
+
     @given(small_point_sets(), st.integers(-40, 40))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_power_of_two_scaling_preserves_edges(self, pts, j):
+    def test_power_of_two_scaling_preserves_edges_on_any_input(self, pts, j):
         scaled = [Point(p.x * 2.0**j, p.y * 2.0**j) for p in pts]
         for build, k in ((build_yao, 9), (build_yao_yao, 9), (build_oy, 26), (build_ty, 26)):
             assert np.array_equal(build(pts, k).edges, build(scaled, k).edges)
