@@ -14,8 +14,16 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import stretch_bound, stretch_factor
-from .build import FAMILIES, build_oy, build_ty
-from .fileio import ParseError, read_edges, read_points, write_edges, write_points, write_report
+from .build import FAMILIES, as_point_array, build_oy, build_ty
+from .fileio import (
+    ParseError,
+    read_edges,
+    read_points,
+    validate_edges,
+    write_edges,
+    write_points,
+    write_report,
+)
 from .geometry import GeometryError
 from .paths import InvariantViolation, harvest_descent_configs, oy_greedy_path, ty_descent_path
 from .pointgen import GenKind
@@ -178,17 +186,21 @@ def _cmd_path(args) -> int:
         trace = oy_greedy_path(graph, args.source, args.target)
         header = f"oy path {args.source}->{args.target}"
     else:
+        if (args.edge is None) != (args.witness is None):
+            raise ConfigError("ty path needs both --edge and --witness, or neither")
         ty = build_ty(points, args.k)
         oy = build_oy(points, args.k)
-        if args.edge is not None and args.witness is not None:
+        if args.edge is not None:
             try:
                 tail, head = (int(t) for t in args.edge.split(","))
             except ValueError:
                 raise ConfigError("--edge must be 'tail,head'") from None
+            if (tail, head) not in ty.ty_frames:
+                raise ConfigError(f"{tail}->{head} is not a trapezoidal-Yao edge")
             candidates = [
                 (frame, a)
-                for frame, a in harvest_descent_configs(ty)
-                if frame.o == tail and a == args.witness
+                for frame, a in harvest_descent_configs(ty, edge=(tail, head))
+                if a == args.witness
             ]
             if not candidates:
                 raise ConfigError(
@@ -246,13 +258,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     points = read_points(args.infile)
-    edges = read_edges(args.edges)[0] if args.edges else []
+    edges = []
+    if args.edges:
+        edges, lengths = read_edges(args.edges)
+        validate_edges(as_point_array(points), edges, lengths)
     witness = None
     if args.witness:
         try:
             witness = [int(t) for t in args.witness.split(",")]
         except ValueError:
             raise ConfigError("--witness must be a comma-separated vertex list") from None
+        bad = [i for i in witness if not 0 <= i < len(points)]
+        if bad:
+            raise ConfigError(f"--witness vertex {bad[0]} is out of range for {len(points)} points")
     svg = render_svg(points, edges, witness_path=witness)
     Path(args.out).write_text(svg)
     print(f"wrote {args.out}")

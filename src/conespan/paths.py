@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -155,22 +156,25 @@ class DescentFrame:
     reflected: bool
 
 
-def _local_coords(xy: np.ndarray, o: int, p: Point, reflected: bool) -> tuple[np.ndarray, float]:
-    """Unit-local coordinates of all points (apex at origin, p at (1,0))."""
-    ox, oy = xy[o]
+def _placement(ox: float, oy: float, p: Point) -> tuple[float, float, float, float]:
+    """Per-frame scalars of the unit-local map with the apex at (ox, oy) and
+    the far corner at ``p``: the scale |op|, the orientation of o->p, and its
+    cosine and sine.  Scalar ``math`` on purpose: numpy's vectorized hypot and
+    arctan2 differ from it in the last bit, which would move borderline
+    points across the witness conditions."""
     s = math.hypot(p.x - ox, p.y - oy)
     if s <= 0.0:
         raise GeometryError("degenerate placement: p coincides with the apex")
     orient = math.atan2(p.y - oy, p.x - ox)
-    c = math.cos(orient)
-    sn = math.sin(orient)
-    dx = xy[:, 0] - ox
-    dy = xy[:, 1] - oy
-    lx = (c * dx + sn * dy) / s
-    ly = (-sn * dx + c * dy) / s
-    if reflected:
-        ly = -ly
-    return np.column_stack([lx, ly]), s
+    return s, orient, math.cos(orient), math.sin(orient)
+
+
+def _to_local(dx, dy, s, c, sn, flip):
+    """Unit-local coordinates (apex at origin, p at (1, 0)) of the offsets
+    (dx, dy) from the apex, given a placement's scale, cosine and sine;
+    ``flip`` is -1.0 for a mirrored frame and 1.0 otherwise.  Elementwise, so
+    per-frame columns broadcast against a row of offsets."""
+    return (c * dx + sn * dy) / s, (-sn * dx + c * dy) / s * flip
 
 
 def _first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float) -> tuple[int, float, float]:
@@ -219,9 +223,11 @@ def ty_descent_path(
         raise GeometryError("witness must differ from the apex")
 
     xy = ty.xy
-    local, scale = _local_coords(xy, o, frame.p, frame.reflected)
+    x0, y0 = xy[o]
+    scale, orient, c, sn = _placement(x0, y0, frame.p)
+    flip = -1.0 if frame.reflected else 1.0
+    local = np.column_stack(_to_local(xy[:, 0] - x0, xy[:, 1] - y0, scale, c, sn, flip))
     grid = TWO_PI / k
-    orient = math.atan2(frame.p.y - xy[o, 1], frame.p.x - xy[o, 0])
     j0 = round(normalize_angle(orient) / grid)
     if abs(normalize_angle(orient) - (j0 % k) * grid) > 1e-9 and abs(
         normalize_angle(orient) - j0 * grid
@@ -318,39 +324,66 @@ def ty_descent_path(
 def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
     """Guaranteed ceiling x_a + (2*tau + 1)*|y_a| on the descent length, in
     the same frame-local units the trace reports."""
-    local, _ = _local_coords(ty.xy, frame.o, frame.p, frame.reflected)
+    ox, oy = ty.xy[frame.o]
+    s, _, c, sn = _placement(ox, oy, frame.p)
+    ax, ay = ty.xy[a]
+    lx, ly = _to_local(ax - ox, ay - oy, s, c, sn, -1.0 if frame.reflected else 1.0)
     tau = tau_bound(ty.k)
-    return float(local[a, 0] + (2.0 * tau + 1.0) * abs(local[a, 1]))
+    return float(lx + (2.0 * tau + 1.0) * abs(ly))
 
 
-def harvest_descent_configs(ty: ConeGraph) -> list[tuple[DescentFrame, int]]:
+# Relative slack on the harvest's pruning radius: far above the few ulps by
+# which the local map can misplace a point, far below any distance it prunes.
+_REACH_REL = 1e-6
+
+
+def harvest_descent_configs(
+    ty: ConeGraph, edge: tuple[int, int] | None = None
+) -> list[tuple[DescentFrame, int]]:
     """Collect real (placement, witness) descent configurations from a built
     trapezoidal-Yao graph: for every edge and every frame that selected it,
     the placed trapezoid is empty by construction, and every point meeting
-    the witness conditions in that placement qualifies."""
+    the witness conditions in that placement qualifies.
+
+    Configurations come in edge order (tail, then head), then in each edge's
+    frame order, then by witness index; the configurations of one frame share
+    one ``DescentFrame``.  With ``edge`` given as (tail, head), only that
+    edge's frames are harvested.  Work runs per tail vertex: its frames'
+    placements are scalar, then one broadcast pass tests its frames against
+    the points near the tail.
+    """
     if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_frames is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
-    k = ty.k
-    grid = TWO_PI / k
+    grid = TWO_PI / ty.k
     xy = ty.xy
     configs: list[tuple[DescentFrame, int]] = []
-    for (t, h), frame_list in sorted(ty.ty_frames.items()):
-        s = math.hypot(xy[h, 0] - xy[t, 0], xy[h, 1] - xy[t, 1])
-        for j, reflected in frame_list:
-            orient = j * grid
-            p = Point(xy[t, 0] + s * math.cos(orient), xy[t, 1] + s * math.sin(orient))
-            local, _ = _local_coords(xy, t, p, reflected)
-            lx = local[:, 0]
-            ly = local[:, 1]
-            phi_ap = np.arctan2(-ly, 1.0 - lx)
-            ok = (
-                (lx > 0.0)
-                & (lx < 1.0)
-                & (ly <= 0.0)
-                & (phi_ap > 0.0)
-                & (phi_ap < math.pi / 6)
-            )
-            ok[t] = False
-            for a in np.flatnonzero(ok):
-                configs.append((DescentFrame(t, p, reflected), int(a)))
+    items = sorted(ty.ty_frames.items()) if edge is None else [(edge, ty.ty_frames[edge])]
+    for t, edges in groupby(items, key=lambda item: item[0][0]):
+        ox, oy = xy[t].tolist()
+        frames: list[DescentFrame] = []
+        placements: list[tuple[float, ...]] = []
+        for (_, h), frame_list in edges:
+            hx, hy = xy[h].tolist()
+            s = math.hypot(hx - ox, hy - oy)
+            for j, reflected in frame_list:
+                orient = j * grid
+                p = Point(ox + s * math.cos(orient), oy + s * math.sin(orient))
+                frames.append(DescentFrame(t, p, reflected))
+                placements.append((*_placement(ox, oy, p), -1.0 if reflected else 1.0))
+        scale, _, c, sn, flip = np.array(placements).T[:, :, None]
+        dx = xy[:, 0] - ox
+        dy = xy[:, 1] - oy
+        # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
+        # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest point from
+        # o is p, so |oa| < |op|: only points within the tail's largest |op|
+        # can qualify for any of its frames.
+        reach = scale.max() * (1.0 + _REACH_REL)
+        near = np.flatnonzero(np.hypot(dx, dy) <= reach)
+        near = near[near != t]
+        lx, ly = _to_local(dx[near], dy[near], scale, c, sn, flip)
+        ok = (lx > 0.0) & (lx < 1.0) & (ly <= 0.0)
+        phi_ap = np.arctan2(-ly[ok], 1.0 - lx[ok])
+        ok[ok] = (phi_ap > 0.0) & (phi_ap < math.pi / 6)
+        rows, cols = np.nonzero(ok)
+        configs.extend(zip([frames[r] for r in rows.tolist()], near[cols].tolist()))
     return configs

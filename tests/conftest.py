@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from conespan.geometry import (
     TWO_PI,
+    GeometryError,
     Point,
     TrapezoidFrame,
     ccw_diff,
@@ -24,11 +26,19 @@ from conespan.geometry import (
     theta,
     HitPart,
 )
+from conespan.paths import DescentFrame
 
 
 def random_points(n: int, seed: int, scale: float = 1.0) -> list[Point]:
     rng = np.random.default_rng(seed)
     return [Point(float(x), float(y)) for x, y in rng.random((n, 2)) * scale]
+
+
+@st.composite
+def small_point_sets(draw):
+    coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=2, max_size=8, unique=True))
+    return [Point(x, y) for x, y in pts]
 
 
 def oracle_yao_pairs(points: list[Point], k: int) -> set[tuple[int, int]]:
@@ -164,6 +174,53 @@ def bisect_first_contact(th: float, x: float, y: float, iters: int = 100) -> flo
         else:
             lo = mid
     return hi
+
+
+def oracle_local_coords(xy: np.ndarray, o: int, p: Point, reflected: bool) -> tuple[np.ndarray, float]:
+    """Unit-local coordinates of all points (apex at origin, p at (1,0))."""
+    ox, oy = xy[o]
+    s = math.hypot(p.x - ox, p.y - oy)
+    if s <= 0.0:
+        raise GeometryError("degenerate placement: p coincides with the apex")
+    orient = math.atan2(p.y - oy, p.x - ox)
+    c = math.cos(orient)
+    sn = math.sin(orient)
+    dx = xy[:, 0] - ox
+    dy = xy[:, 1] - oy
+    lx = (c * dx + sn * dy) / s
+    ly = (-sn * dx + c * dy) / s
+    if reflected:
+        ly = -ly
+    return np.column_stack([lx, ly]), s
+
+
+def oracle_harvest(ty) -> list[tuple[DescentFrame, int]]:
+    """Per-frame harvest reference: every selection frame maps all points to
+    its local coordinates and tests the witness conditions on each."""
+    k = ty.k
+    grid = TWO_PI / k
+    xy = ty.xy
+    configs: list[tuple[DescentFrame, int]] = []
+    for (t, h), frame_list in sorted(ty.ty_frames.items()):
+        s = math.hypot(xy[h, 0] - xy[t, 0], xy[h, 1] - xy[t, 1])
+        for j, reflected in frame_list:
+            orient = j * grid
+            p = Point(xy[t, 0] + s * math.cos(orient), xy[t, 1] + s * math.sin(orient))
+            local, _ = oracle_local_coords(xy, t, p, reflected)
+            lx = local[:, 0]
+            ly = local[:, 1]
+            phi_ap = np.arctan2(-ly, 1.0 - lx)
+            ok = (
+                (lx > 0.0)
+                & (lx < 1.0)
+                & (ly <= 0.0)
+                & (phi_ap > 0.0)
+                & (phi_ap < math.pi / 6)
+            )
+            ok[t] = False
+            for a in np.flatnonzero(ok):
+                configs.append((DescentFrame(t, p, reflected), int(a)))
+    return configs
 
 
 @pytest.fixture

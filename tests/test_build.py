@@ -35,6 +35,7 @@ from conftest import (
     oracle_yao_pairs,
     oracle_yy_pairs,
     random_points,
+    small_point_sets,
 )
 
 
@@ -292,13 +293,6 @@ class TestDegenerateInputs:
                     else:
                         assert np.array_equal(got.cone_choice, ref.cone_choice)
                     assert got.ty_frames == ref.ty_frames
-
-
-@st.composite
-def small_point_sets(draw):
-    coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-    pts = draw(st.lists(st.tuples(coords, coords), min_size=2, max_size=8, unique=True))
-    return [Point(x, y) for x, y in pts]
 
 
 def _generic_position(pts, k: int, margin: float = 1e-9) -> bool:

@@ -3,8 +3,12 @@ import math
 
 import pytest
 
+from conespan.build import build_oy, build_ty
 from conespan.cli import main
-from conespan.paths import InvariantViolation
+from conespan.fileio import read_points
+from conespan.geometry import TWO_PI, Point, dist
+from conespan.paths import InvariantViolation, ty_descent_path
+from conftest import oracle_harvest
 
 
 def run(*argv) -> int:
@@ -100,6 +104,54 @@ class TestPath:
         assert kinds <= {"direct_ty_edge", "oy_subpath", "final_oy_subpath"}
         for s in trace["steps"]:
             assert s["phi_after"] <= s["phi_before"] + 1e-9
+
+
+    @pytest.fixture
+    def points30(self, tmp_path):
+        pts = tmp_path / "pts30.csv"
+        assert run("gen", "--n", "30", "--seed", "1", "--out", str(pts)) == 0
+        return pts
+
+    def test_ty_descent_rejects_non_ty_edge(self, points30, capsys):
+        # 0->1 is not a trapezoidal-Yao edge at k=30, though witness 11 qualifies
+        # for a frame of another edge out of vertex 0
+        code = run("path", "--family", "ty", "--k", "30", "--in", str(points30), "--edge", "0,1", "--witness", "11")
+        assert code == 2
+        assert "not a trapezoidal-Yao edge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--edge", "0,1"], ["--witness", "999"]], ids=["edge_only", "witness_only"])
+    def test_ty_descent_needs_edge_and_witness_together(self, points30, flags, capsys):
+        assert run("path", "--family", "ty", "--k", "30", "--in", str(points30), *flags) == 2
+        assert "both --edge and --witness" in capsys.readouterr().err
+
+    def test_ty_descent_uses_the_edges_own_frames(self, points30, tmp_path):
+        points = read_points(points30)
+        ty, oy = build_ty(points, 30), build_oy(points, 30)
+        tail, head, witness = 0, 14, 11
+        s = dist(points[tail], points[head])
+        own = {
+            (j * (TWO_PI / 30), reflected) for j, reflected in ty.ty_frames[(tail, head)]
+        }
+        own_frames = [
+            frame
+            for frame, a in oracle_harvest(ty)
+            if frame.o == tail and a == witness and any(
+                frame.reflected == reflected
+                and frame.p == Point(points[tail].x + s * math.cos(o), points[tail].y + s * math.sin(o))
+                for o, reflected in own
+            )
+        ]
+        first_from_tail = next(f for f, a in oracle_harvest(ty) if f.o == tail and a == witness)
+        assert own_frames and first_from_tail != own_frames[0]  # another edge's frame comes first
+        expected = ty_descent_path(ty, oy, own_frames[0], witness)
+        out = tmp_path / "descent.json"
+        assert run(
+            "path", "--family", "ty", "--k", "30", "--in", str(points30),
+            "--edge", f"{tail},{head}", "--witness", str(witness), "--out", str(out),
+        ) == 0
+        trace = json.loads(out.read_text())
+        assert trace["vertices"] == list(expected.vertices)
+        assert trace["total_length"] == expected.total_length
 
 
 class TestVerify:
@@ -222,6 +274,23 @@ class TestRender:
     def test_bad_witness_is_config_error(self, workspace):
         tmp_path, pts = workspace
         assert run("render", "--in", str(pts), "--witness", "a,b", "--out", str(tmp_path / "f.svg")) == 2
+
+    @pytest.mark.parametrize("witness", ["0,999", "0,-1"], ids=["past_end", "negative"])
+    def test_out_of_range_witness_is_config_error(self, workspace, witness, capsys):
+        tmp_path, pts = workspace
+        out = tmp_path / "f.svg"
+        assert run("render", "--in", str(pts), "--witness", witness, "--out", str(out)) == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_edge_endpoint_is_parse_error(self, workspace, capsys):
+        tmp_path, pts = workspace
+        edges = tmp_path / "e.json"
+        edges.write_text(json.dumps([{"tail": 0, "head": 50, "length": 1.0}]))
+        out = tmp_path / "f.svg"
+        assert run("render", "--in", str(pts), "--edges", str(edges), "--out", str(out)) == 3
+        assert "invalid endpoints" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -3,23 +3,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conespan.analysis import tau_bound
 from conespan.build import build_oy, build_ty, build_yao
 from conespan.geometry import TWO_PI, GeometryError, Point, dist, theta
+from conespan.pointgen import GenKind, GenSpec, gen_points
 from conespan.paths import (
     DescentFrame,
     InvariantViolation,
     StepKind,
     _first_contact,
-    _local_coords,
     descent_length_bound,
     harvest_descent_configs,
     oy_greedy_path,
     phi_potential,
     ty_descent_path,
 )
-from conftest import random_points
+from conftest import oracle_harvest, oracle_local_coords, random_points, small_point_sets
 
 TOL = 1e-9
 
@@ -169,7 +171,7 @@ class TestTyDescentPath:
         xy = np.array([[p.x, p.y] for p in pts])
         for frame, a in harvest_descent_configs(ty)[:150]:
             tr = ty_descent_path(ty, oy, frame, a)
-            local, _ = _local_coords(xy, frame.o, frame.p, frame.reflected)
+            local, _ = oracle_local_coords(xy, frame.o, frame.p, frame.reflected)
             for vtx in tr.vertices:
                 assert local[vtx, 1] <= TOL
 
@@ -201,7 +203,7 @@ class TestTyDescentPath:
             ty_descent_path(ty, oy, frame, frame.o)
         # a vertex on the wrong side of the frame violates a named clause
         xy = np.array([[p.x, p.y] for p in pts])
-        local, _ = _local_coords(xy, frame.o, frame.p, frame.reflected)
+        local, _ = oracle_local_coords(xy, frame.o, frame.p, frame.reflected)
         bad = next(
             i
             for i in range(len(pts))
@@ -279,3 +281,62 @@ class TestTyDescentPath:
         frames = build_ty(pts, k).ty_frames
         selected = {h for (t, h), fs in frames.items() if t == 0 and (2, True) in fs}
         assert selected == {win} == {1}
+
+
+def _config_rows(configs):
+    return [(frame.o, frame.p, frame.reflected, a) for frame, a in configs]
+
+
+HARVEST_SETS = {
+    "random": lambda: random_points(60, 3),
+    "clustered": lambda: gen_points(GenSpec(GenKind.CLUSTERED, 60, seed=2)),
+    "cocircular": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 60, seed=2, jitter=1e-3)),
+    "grid": lambda: gen_points(GenSpec(GenKind.GRID, 49, pitch=1.0)),
+    "two_rows": lambda: [Point(float(i), float(y)) for y in (0, 1) for i in range(8)],
+}
+
+
+class TestHarvest:
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    @pytest.mark.parametrize("name", list(HARVEST_SETS))
+    def test_matches_per_frame_oracle(self, name, k):
+        ty = build_ty(HARVEST_SETS[name](), k)
+        configs = harvest_descent_configs(ty)
+        assert configs
+        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+
+    @given(small_point_sets(), st.integers(-40, 40), st.sampled_from([26, 30, 84]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_per_frame_oracle_on_any_scaled_input(self, pts, j, k):
+        # scaling by 2^j is exact, so only the pruning radius's rounding
+        # margin separates the two harvests on these inputs
+        ty = build_ty([Point(p.x * 2.0**j, p.y * 2.0**j) for p in pts], k)
+        assert _config_rows(harvest_descent_configs(ty)) == _config_rows(oracle_harvest(ty))
+
+    def test_matches_per_frame_oracle_on_subnormal_offsets(self):
+        # integer multiples of the smallest subnormal: the local map's products
+        # round to that grid, so its errors are absolute, not relative
+        rng = np.random.default_rng(0)
+        unit = np.finfo(float).smallest_subnormal
+        harvested = 0
+        for _ in range(150):
+            span = int(rng.choice([4, 16, 64]))
+            cells = {tuple(c) for c in rng.integers(-span, span, size=(8, 2)).tolist()}
+            ty = build_ty([Point(x * unit, y * unit) for x, y in cells], int(rng.choice([26, 30, 84])))
+            configs = harvest_descent_configs(ty)
+            assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+            harvested += len(configs)
+        assert harvested > 0
+
+    def test_configs_of_one_frame_share_one_descent_frame(self, setup):
+        _, ty, _ = setup
+        objects: dict[tuple, set[int]] = {}
+        for frame, _ in harvest_descent_configs(ty):
+            objects.setdefault((frame.o, frame.p, frame.reflected), set()).add(id(frame))
+        assert len(objects) > 1
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_single_edge_harvest_is_that_edges_slice(self, setup):
+        _, ty, _ = setup
+        per_edge = [c for edge in sorted(ty.ty_frames) for c in harvest_descent_configs(ty, edge=edge)]
+        assert _config_rows(per_edge) == _config_rows(harvest_descent_configs(ty))
