@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import TWO_PI, GeometryError, Point, _polar_arr, first_contact, on_critical_arc, theta
+from .geometry import HALF_PI, TWO_PI, GeometryError, Point, _polar_arr, first_contact, on_critical_arc, theta
 
 
 class Family(str, Enum):
@@ -192,40 +192,139 @@ def build_oy(points: Sequence[Point], k: int) -> ConeGraph:
     return derive_oy(yao)
 
 
+# Nearest candidates per vertex that build_ty examines before any full scan.
+_TY_PREFIX = 48
+# (vertex, candidate, frame) entries per vectorized pass of build_ty; bounds
+# its temporaries to a few MB.
+_TY_BLOCK = 1 << 16
+
+
+def _ty_window(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frames (reflected * k + orientation index j) at which candidates
+    at polar angles ``phi`` are evaluated, along a new last axis, and each
+    candidate's angle ``alpha`` to each of those frames.
+
+    The window holds j from ceil(k/4) + 1 below floor(phi / (2pi/k)) up to
+    one above it unmirrored, and from one below it up to ceil(k/4) + 1 above
+    it mirrored.  Every other frame's quarter-plane misses the candidate, so
+    its dilation there is +inf.  ``alpha`` is phi - psi_j unmirrored and
+    psi_j - phi mirrored, reduced into [0, 2pi) exactly as np.mod reduces a
+    difference of two angles in [0, 2pi).
+    """
+    q = -(-k // 4)
+    j = np.arange(-k, 2 * k) % k  # cyclic lookup, entered at an offset of k
+    frame_of = np.concatenate([j, j + k])
+    psi_of = np.tile(np.arange(k) * (TWO_PI / k), 6)
+    offsets = np.concatenate([np.arange(-q - 1, 2) + k, np.arange(-1, q + 2) + 4 * k])
+    at = np.floor(phi / (TWO_PI / k)).astype(np.intp)[..., None] + offsets
+    psi = np.take(psi_of, at)
+    diff = np.empty(at.shape)
+    np.subtract(phi[..., None], psi[..., : q + 3], out=diff[..., : q + 3])
+    np.subtract(psi[..., q + 3 :], phi[..., None], out=diff[..., q + 3 :])
+    # np.mod(diff, 2pi) for -2pi < diff < 2pi, diff != -0.0: one rounded addition
+    return np.take(frame_of, at), np.where(diff < 0.0, diff + TWO_PI, diff)
+
+
+def _ty_candidates(
+    xy: np.ndarray, rows: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``m`` nearest other points of each vertex in ``rows`` (all of them
+    when m >= n - 1) as (len(rows), m) index, distance and polar-angle
+    matrices, each row in (angle, index) order, and per row the smallest
+    distance left out (+inf when none is)."""
+    col = np.arange(xy.shape[0] - 1)
+    cand = col + (col >= rows[:, None])  # every point but the row's own vertex
+    r, phi = _polar_arr(xy[cand, 0] - xy[rows, 0, None], xy[cand, 1] - xy[rows, 1, None])
+    r_out = np.full(len(rows), np.inf)
+    if m < cand.shape[1]:
+        near = np.argpartition(r, m, axis=1)
+        r_out = np.take_along_axis(r, near[:, m : m + 1], axis=1)[:, 0]
+        cand, r, phi = (np.take_along_axis(a, near[:, :m], axis=1) for a in (cand, r, phi))
+    # in (angle, index) order the first minimum of a frame is its tie-broken winner
+    order = np.lexsort((cand, phi), axis=1)
+    cand, r, phi = (np.take_along_axis(a, order, axis=1) for a in (cand, r, phi))
+    return cand, r, phi, r_out
+
+
+def _ty_winners(
+    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, wanted: np.ndarray, sin_th: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie-broken first-contact winner of each wanted frame (reflected * k +
+    orientation) of b vertices among their candidate rows (see
+    :func:`_ty_candidates`); ``wanted`` is a (b, 2k) mask.  Returns (b, 2k)
+    arrays: the winner's index (-1 where no candidate is hit or the frame is
+    not wanted), its dilation (+inf there) and its distance."""
+    b, k2 = wanted.shape
+    frame, alpha = _ty_window(phi, k2 // 2)
+    key = frame + (np.arange(b) * k2)[:, None, None]
+    # only entries inside a wanted frame's quarter-plane have a finite dilation
+    idx = np.flatnonzero((alpha < HALF_PI) & np.take(wanted, key))
+    key = key.ravel()[idx]
+    entry = idx // frame.shape[-1]
+    lam = first_contact(alpha.ravel()[idx], r.ravel()[entry], sin_th)
+    best = np.full(b * k2, np.inf)
+    np.minimum.at(best, key, lam)
+    hit = np.flatnonzero(lam == best[key])  # row-major: (vertex, angle, index) order
+    keys, first = np.unique(key[hit], return_index=True)
+    win = entry[hit[first]]
+    head = np.full(b * k2, -1, dtype=np.int64)
+    head[keys] = cand.ravel()[win]
+    r_head = np.zeros(b * k2)
+    r_head[keys] = r.ravel()[win]
+    return head.reshape(b, k2), best.reshape(b, k2), r_head.reshape(b, k2)
+
+
 def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     """Trapezoidal-Yao graph: per vertex, per orientation 2j*pi/k, and per
     mirror image, grow the placed curved trapezoid until it first hits a
     point; keep the edge only when the hit lies on the critical arc.
 
     Each candidate's first-contact dilation follows from its angle to the
-    frame (:func:`first_contact`), so the whole frame sweep reduces to
-    angular arithmetic.
+    frame (:func:`first_contact`); only the ceil(k/4) + 3 orientations per
+    mirror whose quarter-plane can hold it are evaluated.  Each vertex first
+    scans its ``_TY_PREFIX`` nearest candidates.  A dilation is never below
+    the candidate's distance, so a frame whose best dilation there is
+    strictly below the distance of every candidate left out is settled: no
+    other point can win or tie it.  Vertices with unsettled frames (empty
+    ones included, as on hull-heavy inputs) rescan all their candidates for
+    those frames only.  Both passes run over blocks of vertices holding about
+    ``_TY_BLOCK`` (vertex, candidate, frame) entries each.
     """
     th = theta(k)  # also enforces k > 24
     xy = as_point_array(points)
+    n = xy.shape[0]
     sin_th = np.sin(th)
-    psi = np.arange(k) * (TWO_PI / k)
+    m = min(_TY_PREFIX, n - 1)
+    width = 2 * (-(-k // 4) + 3)  # frames evaluated per candidate
+    head = np.full((n, 2 * k), -1, dtype=np.int64)
+    lam = np.full((n, 2 * k), np.inf)
+    r_head = np.zeros((n, 2 * k))
+    r_out = np.full(n, np.inf)
+    step = max(1, _TY_BLOCK // (max(m, 1) * width))
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        cand, r, phi, r_out[rows] = _ty_candidates(xy, rows, m)
+        wanted = np.ones((len(rows), 2 * k), dtype=bool)
+        head[rows], lam[rows], r_head[rows] = _ty_winners(cand, r, phi, wanted, sin_th)
+    # every left-out candidate has dilation >= its distance >= r_out, and
+    # r_out is +inf where the prefix held every candidate
+    unsettled = ~(lam < r_out[:, None])
+    rescan = np.flatnonzero(unsettled.any(axis=1) & np.isfinite(r_out))
+    step = max(1, _TY_BLOCK // (max(n - 1, 1) * width))
+    for lo in range(0, len(rescan), step):
+        rows = rescan[lo : lo + step]
+        cand, r, phi, _ = _ty_candidates(xy, rows, n - 1)
+        wanted = unsettled[rows]
+        got = _ty_winners(cand, r, phi, wanted, sin_th)
+        for table, part in zip((head, lam, r_head), got):
+            table[rows] = np.where(wanted, part, table[rows])
     frames: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for i in range(xy.shape[0]):
-        cand, r, phi = _candidate_polar(xy, i)
-        if cand.size == 0:
-            continue
-        # in (angle, index) order the first minimum of a frame is its tie-broken winner
-        by_angle = np.lexsort((cand, phi))
-        cand, r, phi = cand[by_angle], r[by_angle], phi[by_angle]
-        for reflected in (False, True):
-            if reflected:
-                alpha = np.mod(psi[None, :] - phi[:, None], TWO_PI)
-            else:
-                alpha = np.mod(phi[:, None] - psi[None, :], TWO_PI)
-            lam = first_contact(alpha, r[:, None], sin_th)
-            rows = np.argmin(lam, axis=0)
-            js = np.flatnonzero(on_critical_arc(lam[rows, np.arange(k)], r[rows]))
-            for j, head in zip(js.tolist(), cand[rows[js]].tolist()):
-                frames.setdefault((i, head), []).append((j, reflected))
+    tails, fs = np.nonzero(on_critical_arc(lam, r_head))  # empty frames: +inf > 0
+    for t, f, h in zip(tails.tolist(), fs.tolist(), head[tails, fs].tolist()):
+        frames.setdefault((t, h), []).append((f % k, f >= k))
     # the edge set is the key set of the selection frames
     pairs = np.array(list(frames), dtype=np.int64).reshape(-1, 2)
-    edges = edge_array(pairs[:, 0], pairs[:, 1], xy.shape[0])
+    edges = edge_array(pairs[:, 0], pairs[:, 1], n)
     return ConeGraph(tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_frames=frames)
 
 

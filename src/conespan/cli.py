@@ -25,7 +25,13 @@ from .fileio import (
     write_report,
 )
 from .geometry import GeometryError
-from .paths import InvariantViolation, harvest_descent_configs, oy_greedy_path, ty_descent_path
+from .paths import (
+    InvariantViolation,
+    _iter_descent_configs,
+    harvest_descent_configs,
+    oy_greedy_path,
+    ty_descent_path,
+)
 from .pointgen import GenKind
 from .render import render_svg
 from .verify import ConfigError, RunConfig, cmd_verify
@@ -208,10 +214,10 @@ def _cmd_path(args) -> int:
                 )
             frame, a = candidates[0]
         else:
-            configs = harvest_descent_configs(ty)
-            if not configs:
+            first = next(_iter_descent_configs(ty), None)  # stops at the first tail with one
+            if first is None:
                 raise ConfigError("no descent configuration exists on this point set")
-            frame, a = configs[0]
+            frame, a = first
         trace = ty_descent_path(ty, oy, frame, a)
         header = f"ty descent a={a} -> o={frame.o} (local units)"
     payload = {

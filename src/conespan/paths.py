@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
+from typing import Iterator
 
 import numpy as np
 
@@ -350,13 +351,21 @@ def harvest_descent_configs(
     one ``DescentFrame``.  With ``edge`` given as (tail, head), only that
     edge's frames are harvested.  Work runs per tail vertex: its frames'
     placements are scalar, then one broadcast pass tests its frames against
-    the points near the tail.
+    the points near the tail.  ``_iter_descent_configs`` yields the same
+    sequence lazily, one tail at a time, for callers that walk only a prefix.
     """
+    return list(_iter_descent_configs(ty, edge))
+
+
+def _iter_descent_configs(
+    ty: ConeGraph, edge: tuple[int, int] | None = None
+) -> Iterator[tuple[DescentFrame, int]]:
+    """The configurations of :func:`harvest_descent_configs`, in its order,
+    harvested one tail vertex at a time as they are consumed."""
     if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_frames is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
     grid = TWO_PI / ty.k
     xy = ty.xy
-    configs: list[tuple[DescentFrame, int]] = []
     items = sorted(ty.ty_frames.items()) if edge is None else [(edge, ty.ty_frames[edge])]
     for t, edges in groupby(items, key=lambda item: item[0][0]):
         ox, oy = xy[t].tolist()
@@ -385,5 +394,4 @@ def harvest_descent_configs(
         phi_ap = np.arctan2(-ly[ok], 1.0 - lx[ok])
         ok[ok] = (phi_ap > 0.0) & (phi_ap < math.pi / 6)
         rows, cols = np.nonzero(ok)
-        configs.extend(zip([frames[r] for r in rows.tolist()], near[cols].tolist()))
-    return configs
+        yield from zip([frames[r] for r in rows.tolist()], near[cols].tolist())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .geometry import (
     lhp_containment_check,
     theta,
 )
-from .paths import InvariantViolation, descent_length_bound, harvest_descent_configs, ty_descent_path
+from .paths import InvariantViolation, _iter_descent_configs, descent_length_bound, ty_descent_path
 from .pointgen import GenKind, GenSpec, gen_points
 
 
@@ -212,7 +213,8 @@ def check_stretch_bounds(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[C
 
 def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
     tol = cfg.tolerance
-    configs = harvest_descent_configs(graphs["ty"])[: cfg.max_descent_configs]
+    # harvest lazily: only the configs walked are built
+    configs = list(islice(_iter_descent_configs(graphs["ty"]), cfg.max_descent_configs))
     worst_dphi = -math.inf
     worst_slack = math.inf
     failures = []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from conespan.build import ConeGraph, Family, _candidate_polar, as_point_array, edge_array
 from conespan.geometry import (
     TWO_PI,
     GeometryError,
@@ -22,6 +23,8 @@ from conespan.geometry import (
     dist,
     gamma,
     polar_angle,
+    first_contact,
+    on_critical_arc,
     scale_to_hit,
     theta,
     HitPart,
@@ -122,6 +125,38 @@ def oracle_ty_pairs(points: list[Point], k: int) -> set[tuple[int, int]]:
                 if part is HitPart.CRITICAL_ARC:
                     out.add((u, v))
     return out
+
+
+def dense_build_ty(points: list[Point], k: int) -> ConeGraph:
+    """Dense trapezoidal-Yao sweep: every vertex evaluates all candidates at
+    all k orientations and both mirrors.  The reference for build_ty's
+    pruned sweep, which must match its edges and ``ty_frames`` exactly."""
+    th = theta(k)  # also enforces k > 24
+    xy = as_point_array(points)
+    sin_th = np.sin(th)
+    psi = np.arange(k) * (TWO_PI / k)
+    frames: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+    for i in range(xy.shape[0]):
+        cand, r, phi = _candidate_polar(xy, i)
+        if cand.size == 0:
+            continue
+        # in (angle, index) order the first minimum of a frame is its tie-broken winner
+        by_angle = np.lexsort((cand, phi))
+        cand, r, phi = cand[by_angle], r[by_angle], phi[by_angle]
+        for reflected in (False, True):
+            if reflected:
+                alpha = np.mod(psi[None, :] - phi[:, None], TWO_PI)
+            else:
+                alpha = np.mod(phi[:, None] - psi[None, :], TWO_PI)
+            lam = first_contact(alpha, r[:, None], sin_th)
+            rows = np.argmin(lam, axis=0)
+            js = np.flatnonzero(on_critical_arc(lam[rows, np.arange(k)], r[rows]))
+            for j, head in zip(js.tolist(), cand[rows[js]].tolist()):
+                frames.setdefault((i, head), []).append((j, reflected))
+    # the edge set is the key set of the selection frames
+    pairs = np.array(list(frames), dtype=np.int64).reshape(-1, 2)
+    edges = edge_array(pairs[:, 0], pairs[:, 1], xy.shape[0])
+    return ConeGraph(tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_frames=frames)
 
 
 def oracle_all_pairs_dist(points: list[Point], pairs: set[tuple[int, int]]) -> np.ndarray:

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conespan import build
 from conespan.build import (
     FAMILIES,
     ConeGraph,
@@ -15,21 +17,27 @@ from conespan.build import (
     build_yao,
     build_yao_yao,
     edge_array,
+    _candidate_polar,
+    _ty_window,
 )
 from conespan.analysis import _undirected, subgraph_check
 from conespan.verify import RunConfig, _get_graphs
 from conespan.geometry import (
     EPS_REL,
+    HALF_PI,
     GeometryError,
     HitPart,
     Point,
     TWO_PI,
     TrapezoidFrame,
+    first_contact,
     polar_angle,
     scale_to_hit,
     theta,
 )
+from conespan.pointgen import GenKind, GenSpec, gen_points
 from conftest import (
+    dense_build_ty,
     oracle_oy_pairs,
     oracle_ty_pairs,
     oracle_yao_pairs,
@@ -209,6 +217,97 @@ class TestBuildTy:
                     hit = scale_to_hit(frame, p)
                     if hit.part is not HitPart.NONE:
                         assert hit.lam >= d * (1 - 1e-9)
+
+
+def assert_same_ty(got: ConeGraph, ref: ConeGraph) -> None:
+    assert np.array_equal(got.edges, ref.edges)
+    assert got.ty_frames == ref.ty_frames
+    assert list(got.ty_frames) == list(ref.ty_frames)
+
+
+# sets large enough that every vertex leaves candidates out of its prefix
+PRUNED_SETS = {
+    "uniform300": lambda: gen_points(GenSpec(GenKind.UNIFORM_SQUARE, 300, seed=4)),
+    "clustered300": lambda: gen_points(GenSpec(GenKind.CLUSTERED, 300, seed=4)),
+    "cocircular200": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 200, jitter=0.0)),
+    "cocircular200_jitter": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 200, seed=4, jitter=1e-3)),
+    "grid20x20": lambda: gen_points(GenSpec(GenKind.GRID, 400, pitch=1.0)),
+    "two_rows": lambda: [Point(float(i), float(y)) for y in (0, 1) for i in range(150)],
+}
+
+
+class TestTyPrunedSweep:
+    """build_ty settles frames from each vertex's nearest points and rescans
+    the rest over a window of orientations; its edges and selection frames
+    must equal the dense sweep's (tests/conftest.py) exactly."""
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    @pytest.mark.parametrize("name", list(PRUNED_SETS))
+    def test_matches_dense_oracle(self, name, k):
+        pts = PRUNED_SETS[name]()
+        assert len(pts) - 1 > build._TY_PREFIX
+        assert_same_ty(build_ty(pts, k), dense_build_ty(pts, k))
+
+    @given(
+        small_point_sets(),
+        st.integers(-40, 40),
+        st.sampled_from([1, 3]),
+        st.sampled_from([1, build._TY_BLOCK]),
+        st.sampled_from([26, 30, 84]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_settle_and_rescan_match_dense_oracle(self, pts, j, prefix, block, k):
+        # a prefix of 1 or 3 points splits even tiny sets into settled and
+        # rescanned frames; a block of 1 runs one vertex per pass
+        scaled = [Point(p.x * 2.0**j, p.y * 2.0**j) for p in pts]
+        with patch.object(build, "_TY_PREFIX", prefix), patch.object(build, "_TY_BLOCK", block):
+            got = build_ty(scaled, k)
+        assert_same_ty(got, dense_build_ty(scaled, k))
+
+
+def assert_window_covers(phi: np.ndarray, r: np.ndarray, k: int) -> None:
+    """Every (candidate, frame) with a finite dense dilation is in the
+    candidate's window, and every window entry carries the dense sweep's
+    angle bit for bit."""
+    psi = np.arange(k) * (TWO_PI / k)
+    dense_alpha = np.hstack(
+        [np.mod(phi[:, None] - psi[None, :], TWO_PI), np.mod(psi[None, :] - phi[:, None], TWO_PI)]
+    )
+    finite = np.isfinite(first_contact(dense_alpha, r[:, None], np.sin(theta(k))))
+    frame, alpha = _ty_window(phi, k)
+    assert np.array_equal(alpha, np.take_along_axis(dense_alpha, frame, axis=1))
+    in_window = np.zeros_like(finite)
+    np.put_along_axis(in_window, frame, True, axis=1)
+    assert not np.any(finite & ~in_window)
+
+
+@st.composite
+def grid_adjacent_angles(draw, k):
+    # angles within a few ulps of an orientation ray or of a quarter turn
+    # from one, where the window's ends and its floor() are decided
+    j = draw(st.integers(0, k))
+    turn = draw(st.sampled_from([-HALF_PI, 0.0, HALF_PI]))
+    phi = float(np.mod(j * (TWO_PI / k) + turn, TWO_PI))
+    for _ in range(draw(st.integers(0, 4))):
+        phi = math.nextafter(phi, draw(st.sampled_from([-math.inf, math.inf])))
+    return min(max(phi, 0.0), math.nextafter(TWO_PI, 0.0))
+
+
+class TestTyWindow:
+    @given(st.data(), st.sampled_from([26, 30, 84]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_covers_grid_adjacent_angles(self, data, k):
+        phi = np.array(data.draw(st.lists(grid_adjacent_angles(k), min_size=1, max_size=20)))
+        assert_window_covers(phi, np.ones_like(phi), k)
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    def test_covers_point_sets(self, k):
+        sets = [random_points(60, 5), *(PRUNED_SETS[name]() for name in ("cocircular200", "grid20x20"))]
+        for pts in sets:
+            xy = np.array([[p.x, p.y] for p in pts])
+            for i in range(0, len(pts), 7):
+                _, r, phi = _candidate_polar(xy, i)
+                assert_window_covers(phi, r, k)
 
 
 class TestDeterminism:

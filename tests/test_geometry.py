@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespan.geometry import (
+    HALF_PI,
     TWO_PI,
     GeometryError,
     HitPart,
@@ -13,6 +14,7 @@ from conespan.geometry import (
     TrapezoidFrame,
     cone_index,
     covers_sector_check,
+    first_contact,
     gamma,
     lhp_containment_check,
     normalize_angle,
@@ -250,6 +252,26 @@ class TestScaleToHit:
             assert m.lam == pytest.approx(hit.lam, rel=1e-9)
             checked += 1
         assert checked > 400
+
+
+class TestFirstContact:
+    # build_ty settles a frame once its best dilation is strictly below the
+    # distance of every point it has not scanned; that is sound only if no
+    # dilation ever rounds below its own point's distance
+    @given(
+        st.one_of(
+            st.floats(0.0, HALF_PI, exclude_max=True),
+            st.floats(0.0, 1e-12),
+            st.floats(HALF_PI - 1e-9, HALF_PI, exclude_max=True),
+        ),
+        st.floats(np.finfo(float).smallest_subnormal, 1e300),
+        st.sampled_from([26, 30, 84]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_dilation_never_below_distance(self, alpha, r, k):
+        with np.errstate(over="ignore"):  # a dilation past the float range is +inf, still >= r
+            lam = first_contact(np.array([alpha]), np.array([r]), np.sin(theta(k)))
+        assert lam[0] >= r
 
 
 class TestCoversSector:

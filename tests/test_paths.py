@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from conespan.paths import (
     InvariantViolation,
     StepKind,
     _first_contact,
+    _iter_descent_configs,
     descent_length_bound,
     harvest_descent_configs,
     oy_greedy_path,
     phi_potential,
     ty_descent_path,
 )
+from conespan.verify import RunConfig, check_potential
 from conftest import oracle_harvest, oracle_local_coords, random_points, small_point_sets
 
 TOL = 1e-9
@@ -327,6 +330,32 @@ class TestHarvest:
             assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
             harvested += len(configs)
         assert harvested > 0
+
+    @pytest.mark.parametrize(
+        "spec,k",
+        [
+            (GenSpec(GenKind.UNIFORM_SQUARE, 300, seed=1), 30),
+            (GenSpec(GenKind.CLUSTERED, 200, seed=1), 84),
+            (GenSpec(GenKind.CO_CIRCULAR, 200, seed=1, jitter=1e-3), 30),
+        ],
+        ids=["uniform", "clustered", "cocircular"],
+    )
+    def test_lazy_prefix_equals_harvest_prefix(self, spec, k):
+        # verify's potential suite walks the first max_descent_configs (300)
+        # configs and harvests only those
+        ty = build_ty(gen_points(spec), k)
+        configs = harvest_descent_configs(ty)
+        assert len(configs) > 300
+        for count in (0, 1, 300):
+            assert list(islice(_iter_descent_configs(ty), count)) == configs[:count]
+        assert list(_iter_descent_configs(ty)) == configs
+
+    def test_potential_suite_walks_the_harvest_prefix(self):
+        # co-circular input harvests ~20k configs here; the suite walks 300
+        pts = gen_points(GenSpec(GenKind.CO_CIRCULAR, 200, seed=1, jitter=1e-3))
+        graphs = {"ty": build_ty(pts, 30), "oy": build_oy(pts, 30)}
+        (result,) = check_potential(RunConfig(k=30), graphs)
+        assert result.passed and result.details["configs"] == 300
 
     def test_configs_of_one_frame_share_one_descent_frame(self, setup):
         _, ty, _ = setup
