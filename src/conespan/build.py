@@ -15,7 +15,8 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,9 +39,12 @@ class ConeGraph:
     lexicographically; edge lengths follow from the coordinates.  Arrays are
     immutable by convention.  ``cone_choice`` (for the Yao and
     overlapping-Yao families) maps (vertex, cone index) to the selected head
-    vertex (-1 where the cone is empty); ``ty_frames`` (for the trapezoidal
-    family) maps each directed edge to the list of (orientation index,
-    reflected) frames that selected it.
+    vertex (-1 where the cone is empty).  The trapezoidal family carries its
+    first-contact table, (n, 2k) arrays indexed by (vertex, reflected * k +
+    orientation index): ``ty_head`` holds each frame's tie-broken first-hit
+    point (-1 where nothing is hit), ``ty_lam`` its dilation (+inf there) and
+    ``ty_critical`` whether the hit lies on the critical arc, which makes it
+    an edge.
     """
 
     points: tuple[Point, ...]
@@ -49,7 +53,9 @@ class ConeGraph:
     family: Family
     edges: np.ndarray = field(repr=False)
     cone_choice: np.ndarray | None = field(default=None, repr=False)
-    ty_frames: dict[tuple[int, int], list[tuple[int, bool]]] | None = field(default=None, repr=False)
+    ty_head: np.ndarray | None = field(default=None, repr=False)
+    ty_lam: np.ndarray | None = field(default=None, repr=False)
+    ty_critical: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -66,6 +72,19 @@ class ConeGraph:
 
     def has_edge(self, tail: int, head: int) -> bool:
         return (tail, head) in self.edge_pairs
+
+    @cached_property
+    def ty_frames(self) -> Mapping[tuple[int, int], list[tuple[int, bool]]] | None:
+        """Each trapezoidal-Yao edge mapped to the (orientation index,
+        reflected) frames that selected it, read off the first-contact table:
+        edges in order of (tail, first selecting frame), frames in table order."""
+        if self.ty_critical is None:
+            return None
+        frames: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+        tails, fs = np.nonzero(self.ty_critical)
+        for t, f, h in zip(tails.tolist(), fs.tolist(), self.ty_head[tails, fs].tolist()):
+            frames.setdefault((t, h), []).append((f % self.k, f >= self.k))
+        return MappingProxyType(frames)
 
 
 def edge_array(tails: np.ndarray, heads: np.ndarray, n: int) -> np.ndarray:
@@ -288,7 +307,8 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     other point can win or tie it.  Vertices with unsettled frames (empty
     ones included, as on hull-heavy inputs) rescan all their candidates for
     those frames only.  Both passes run over blocks of vertices holding about
-    ``_TY_BLOCK`` (vertex, candidate, frame) entries each.
+    ``_TY_BLOCK`` (vertex, candidate, frame) entries each.  The graph keeps
+    the resulting first-contact table (see :class:`ConeGraph`).
     """
     th = theta(k)  # also enforces k > 24
     xy = as_point_array(points)
@@ -318,14 +338,12 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
         got = _ty_winners(cand, r, phi, wanted, sin_th)
         for table, part in zip((head, lam, r_head), got):
             table[rows] = np.where(wanted, part, table[rows])
-    frames: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    tails, fs = np.nonzero(on_critical_arc(lam, r_head))  # empty frames: +inf > 0
-    for t, f, h in zip(tails.tolist(), fs.tolist(), head[tails, fs].tolist()):
-        frames.setdefault((t, h), []).append((f % k, f >= k))
-    # the edge set is the key set of the selection frames
-    pairs = np.array(list(frames), dtype=np.int64).reshape(-1, 2)
-    edges = edge_array(pairs[:, 0], pairs[:, 1], n)
-    return ConeGraph(tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_frames=frames)
+    critical = on_critical_arc(lam, r_head)  # empty frames: +inf > 0
+    tails, fs = np.nonzero(critical)
+    edges = edge_array(tails, head[tails, fs], n)
+    return ConeGraph(
+        tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical
+    )
 
 
 # CLI short name -> (family, builder)

@@ -201,7 +201,7 @@ def _cmd_path(args) -> int:
                 tail, head = (int(t) for t in args.edge.split(","))
             except ValueError:
                 raise ConfigError("--edge must be 'tail,head'") from None
-            if (tail, head) not in ty.ty_frames:
+            if not ty.has_edge(tail, head):
                 raise ConfigError(f"{tail}->{head} is not a trapezoidal-Yao edge")
             candidates = [
                 (frame, a)
@@ -236,7 +236,6 @@ def _cmd_path(args) -> int:
             }
             for s in trace.steps
         ],
-        "diagnostics": list(trace.diagnostics),
     }
     if args.out:
         write_report(args.out, payload)

@@ -182,28 +182,6 @@ def to_local(frame: TrapezoidFrame, w: Point) -> Point:
     return Point(x, y)
 
 
-def trapezoid_contains(th: float, x: float, y: float, scale: float = 1.0, closed: bool = False) -> bool:
-    """Membership in the curved trapezoid with cap angle ``th`` scaled by ``scale``.
-
-    The open shape is {0 < x < s, 0 < y < s sin(th), x^2+y^2 < s^2,
-    (x-s)^2 + y^2 < s^2}; ``closed`` tests the closure instead.
-    """
-    s = scale
-    if closed:
-        return (
-            0.0 <= x <= s
-            and 0.0 <= y <= s * math.sin(th)
-            and x * x + y * y <= s * s
-            and (x - s) * (x - s) + y * y <= s * s
-        )
-    return (
-        0.0 < x < s
-        and 0.0 < y < s * math.sin(th)
-        and x * x + y * y < s * s
-        and (x - s) * (x - s) + y * y < s * s
-    )
-
-
 def scale_to_hit(frame: TrapezoidFrame, w: Point) -> HitResult:
     """Smallest dilation of the placed trapezoid whose closure contains ``w``.
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -31,14 +30,10 @@ from .geometry import (
     TWO_PI,
     GeometryError,
     Point,
-    _polar_arr,
     cone_index,
     dist,
-    first_contact,
     normalize_angle,
-    on_critical_arc,
     polar_angle,
-    theta,
 )
 
 
@@ -79,7 +74,6 @@ class PathTrace:
     vertices: tuple[int, ...]
     steps: tuple[StepAudit, ...]
     total_length: float
-    diagnostics: tuple[str, ...] = ()
 
 
 def phi_potential(point_local: Point, accumulated_length: float, tau: float) -> float:
@@ -178,17 +172,15 @@ def _to_local(dx, dy, s, c, sn, flip):
     return (c * dx + sn * dy) / s, (-sn * dx + c * dy) / s * flip
 
 
-def _first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float) -> tuple[int, float, float]:
-    """First point hit by the trapezoid grown from ``cur`` along direction
-    ``psi`` (mirrored in local coordinates), under the builders' tie-break.
-    Returns (index, lam, r)."""
-    r, phi = _polar_arr(local[:, 0] - local[cur, 0], local[:, 1] - local[cur, 1])
-    lam = first_contact(np.mod(psi - phi, TWO_PI), r, sin_th)
-    best = np.flatnonzero(lam == lam.min())
-    win = int(best[np.argmin(phi[best])])  # ties go to the smaller angle, then index
-    if not np.isfinite(lam[win]):
-        raise InvariantViolation("trapezoid growth found no candidate point")
-    return win, float(lam[win]), float(r[win])
+def _is_witness(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
+    """Elementwise witness conditions 0 < x < 1, y <= 0 and
+    0 < phi(a->p) < pi/6 on unit-local coordinates.  The harvest and the
+    descent's precondition both decide through this one predicate, so a
+    point whose angle to p rounds onto pi/6 is judged alike by both."""
+    ok = (lx > 0.0) & (lx < 1.0) & (ly <= 0.0)
+    phi_ap = np.arctan2(-ly[ok], 1.0 - lx[ok])
+    ok[ok] = (phi_ap > 0.0) & (phi_ap < math.pi / 6)
+    return ok
 
 
 def ty_descent_path(
@@ -200,21 +192,23 @@ def ty_descent_path(
     """Descent path from witness ``a`` to apex ``frame.o`` through TY edges
     and greedy OY subpaths; lengths are in frame-local units (|op| = 1).
 
-    Preconditions (each named on violation): ``oy`` and ``ty`` share the
-    point set and parameter; the placement direction o->p lies on the
+    Each growth step, a mirrored trapezoid grown from the current vertex
+    toward the apex, is one of build_ty's frames, so its first hit and
+    whether that hit is critical are read from the graph's first-contact
+    table.  Preconditions (each named on violation): ``oy`` and ``ty`` share
+    the point set and parameter; the placement direction o->p lies on the
     construction grid; the placed unit trapezoid has an empty interior; and
     in unit-local coordinates 0 < x_a < 1, y_a <= 0, 0 < phi(a->p) < pi/6.
     """
     if ty.family is not Family.TRAPEZOIDAL_YAO:
         raise GeometryError(f"descent requires a trapezoidal-Yao graph, got {ty.family.value}")
-    if ty.ty_frames is None:
-        raise GeometryError("descent requires the trapezoidal-Yao selection frames (ty_frames)")
+    if ty.ty_head is None:
+        raise GeometryError("descent requires the trapezoidal-Yao first-contact table (ty_head)")
     if oy.family is not Family.OVERLAPPING_YAO:
         raise GeometryError(f"descent requires an overlapping-Yao graph, got {oy.family.value}")
     if oy.k != ty.k or oy.points != ty.points:
         raise GeometryError("the two graphs must share the point set and parameter k")
     k = ty.k
-    th = theta(k)
     tau = tau_bound(k)
     n = ty.n
     o = frame.o
@@ -227,76 +221,70 @@ def ty_descent_path(
     x0, y0 = xy[o]
     scale, orient, c, sn = _placement(x0, y0, frame.p)
     flip = -1.0 if frame.reflected else 1.0
-    local = np.column_stack(_to_local(xy[:, 0] - x0, xy[:, 1] - y0, scale, c, sn, flip))
+
+    def local(v: int) -> tuple[float, float]:
+        return _to_local(xy[v, 0] - x0, xy[v, 1] - y0, scale, c, sn, flip)
+
     grid = TWO_PI / k
-    j0 = round(normalize_angle(orient) / grid)
-    if abs(normalize_angle(orient) - (j0 % k) * grid) > 1e-9 and abs(
-        normalize_angle(orient) - j0 * grid
-    ) > 1e-9:
+    angle = normalize_angle(orient)
+    j0 = round(angle / grid)
+    if abs(angle - (j0 % k) * grid) > 1e-9 and abs(angle - j0 * grid) > 1e-9:
         raise GeometryError("precondition failed: placement direction o->p must lie on the cone grid")
 
     # empty interior: no point may enter the unit shape strictly before scale 1
-    # (boundary contact at scale 1 is allowed, hence the relative margin); the
-    # angle is left unnormalized so points below the bottom side never enter
-    sin_th = math.sin(th)
-    r_all = np.hypot(local[:, 0], local[:, 1])
-    lam_unit = first_contact(np.arctan2(local[:, 1], local[:, 0]), r_all, sin_th)
-    inside = lam_unit < 1.0 - EPS_REL
-    if np.any(inside):
+    # (boundary contact at scale 1 is allowed, hence the relative margin)
+    f0 = frame.reflected * k + j0 % k
+    if not ty.ty_lam[o, f0] >= scale * (1.0 - EPS_REL):
         raise GeometryError(
-            f"precondition failed: placed trapezoid interior contains point "
-            f"{int(np.flatnonzero(inside)[0])}"
+            f"precondition failed: placed trapezoid interior contains point {ty.ty_head[o, f0]}"
         )
-    ax, ay = local[a]
+    ax, ay = local(a)
     if not (0.0 < ax < 1.0):
         raise GeometryError(f"precondition failed: 0 < x_a < 1 (got x_a={ax})")
     if ay > 0.0:
         raise GeometryError(f"precondition failed: y_a <= 0 (got y_a={ay})")
-    phi_ap = math.atan2(-ay, 1.0 - ax)
-    if not (0.0 < phi_ap < math.pi / 6):
-        raise GeometryError(f"precondition failed: 0 < phi(a->p) < pi/6 (got {phi_ap})")
+    if not _is_witness(np.array([ax]), np.array([ay]))[0]:
+        raise GeometryError(
+            f"precondition failed: 0 < phi(a->p) < pi/6 (got {np.arctan2(-ay, 1.0 - ax)})"
+        )
 
     five_sixth = 5.0 * math.pi / 6.0
+    at = {a: (ax, ay), o: local(o)}  # unit-local coordinates of the walk's vertices
     vertices = [a]
     # (kind, local length, from-vertex, to-vertex, psi)
     raw_steps: list[tuple[StepKind, float, int, int, float | None]] = []
-    diagnostics: list[str] = []
     cur = a
     for _ in range(n):
         if cur == o:
             break
-        phi_uo = normalize_angle(math.atan2(-local[cur, 1], -local[cur, 0]))
+        cx, cy = at[cur]
+        phi_uo = normalize_angle(math.atan2(-cy, -cx))
         if phi_uo <= five_sixth:
             break
         j = int(phi_uo / grid)
         while j * grid <= phi_uo:  # strict: exact multiples step to the next ray
             j += 1
         psi = j * grid
-        win, lam, r_win = _first_contact(local, cur, psi, sin_th)
-        d_cur = math.hypot(local[cur, 0], local[cur, 1])
-        d_win = math.hypot(local[win, 0], local[win, 1])
+        # the trapezoid grown along local direction psi, mirrored in local
+        # coordinates, is the global frame at orient +- psi of opposite mirror
+        f = (j0 - j) % k if frame.reflected else k + (j0 + j) % k
+        win = int(ty.ty_head[cur, f])
+        if win < 0:
+            raise InvariantViolation("trapezoid growth found no candidate point")
+        at[win] = wx, wy = local(win)
+        d_cur = math.hypot(cx, cy)
+        d_win = math.hypot(wx, wy)
         if d_win >= d_cur:
             raise InvariantViolation(
                 f"descent step {cur}->{win} did not approach the apex ({d_win} >= {d_cur})"
             )
-        if on_critical_arc(lam, r_win):  # a TY edge is certified
+        if ty.ty_critical[cur, f]:  # a TY edge is certified
             if not ty.has_edge(cur, win):
                 raise InvariantViolation(
                     f"descent expected trapezoidal-Yao edge {cur}->{win}, not present"
                 )
-            if frame.reflected:
-                orient_g = normalize_angle(orient - psi)
-                refl_g = False
-            else:
-                orient_g = normalize_angle(orient + psi)
-                refl_g = True
-            jg = round(orient_g / grid) % k
-            if (jg, refl_g) not in ty.ty_frames.get((cur, win), []):
-                diagnostics.append(
-                    f"edge {cur}->{win}: growth frame ({jg}, reflected={refl_g}) "
-                    f"differs from its recorded selection frames"
-                )
-            raw_steps.append((StepKind.DIRECT_TY_EDGE, r_win, cur, win, psi))
+            hop = float(np.hypot(wx - cx, wy - cy))
+            raw_steps.append((StepKind.DIRECT_TY_EDGE, hop, cur, win, psi))
             vertices.append(win)
         else:
             sub = oy_greedy_path(oy, cur, win)
@@ -315,11 +303,11 @@ def ty_descent_path(
     steps = []
     remaining = total
     for kind, seg, u_idx, v_idx, psi in raw_steps:
-        phi_before = phi_potential(Point(*local[u_idx]), remaining, tau)
+        phi_before = phi_potential(Point(*at[u_idx]), remaining, tau)
         remaining -= seg
-        phi_after = phi_potential(Point(*local[v_idx]), remaining, tau)
+        phi_after = phi_potential(Point(*at[v_idx]), remaining, tau)
         steps.append(StepAudit(kind, seg, phi_before, phi_after, psi))
-    return PathTrace(tuple(vertices), tuple(steps), total, tuple(diagnostics))
+    return PathTrace(tuple(vertices), tuple(steps), total)
 
 
 def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
@@ -362,23 +350,29 @@ def _iter_descent_configs(
 ) -> Iterator[tuple[DescentFrame, int]]:
     """The configurations of :func:`harvest_descent_configs`, in its order,
     harvested one tail vertex at a time as they are consumed."""
-    if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_frames is None:
+    if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_critical is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
-    grid = TWO_PI / ty.k
+    k = ty.k
+    grid = TWO_PI / k
     xy = ty.xy
-    items = sorted(ty.ty_frames.items()) if edge is None else [(edge, ty.ty_frames[edge])]
-    for t, edges in groupby(items, key=lambda item: item[0][0]):
+    critical = ty.ty_critical
+    if edge is not None:
+        t, h = edge
+        critical = np.zeros_like(critical)
+        critical[t] = ty.ty_critical[t] & (ty.ty_head[t] == h)
+    for t in np.flatnonzero(critical.any(axis=1)).tolist():
         ox, oy = xy[t].tolist()
+        fs = np.flatnonzero(critical[t])
+        heads = ty.ty_head[t, fs]
+        order = np.lexsort((fs, heads))  # edge order (by head), then frame order
         frames: list[DescentFrame] = []
         placements: list[tuple[float, ...]] = []
-        for (_, h), frame_list in edges:
-            hx, hy = xy[h].tolist()
+        for (hx, hy), f in zip(xy[heads[order]].tolist(), fs[order].tolist()):
             s = math.hypot(hx - ox, hy - oy)
-            for j, reflected in frame_list:
-                orient = j * grid
-                p = Point(ox + s * math.cos(orient), oy + s * math.sin(orient))
-                frames.append(DescentFrame(t, p, reflected))
-                placements.append((*_placement(ox, oy, p), -1.0 if reflected else 1.0))
+            orient = (f % k) * grid
+            p = Point(ox + s * math.cos(orient), oy + s * math.sin(orient))
+            frames.append(DescentFrame(t, p, f >= k))
+            placements.append((*_placement(ox, oy, p), -1.0 if f >= k else 1.0))
         scale, _, c, sn, flip = np.array(placements).T[:, :, None]
         dx = xy[:, 0] - ox
         dy = xy[:, 1] - oy
@@ -389,9 +383,5 @@ def _iter_descent_configs(
         reach = scale.max() * (1.0 + _REACH_REL)
         near = np.flatnonzero(np.hypot(dx, dy) <= reach)
         near = near[near != t]
-        lx, ly = _to_local(dx[near], dy[near], scale, c, sn, flip)
-        ok = (lx > 0.0) & (lx < 1.0) & (ly <= 0.0)
-        phi_ap = np.arctan2(-ly[ok], 1.0 - lx[ok])
-        ok[ok] = (phi_ap > 0.0) & (phi_ap < math.pi / 6)
-        rows, cols = np.nonzero(ok)
+        rows, cols = np.nonzero(_is_witness(*_to_local(dx[near], dy[near], scale, c, sn, flip)))
         yield from zip([frames[r] for r in rows.tolist()], near[cols].tolist())

@@ -73,7 +73,6 @@ class RunConfig:
     suites: tuple[str, ...] = ("all",)
     tolerance: float = 1e-9
     sector_samples: int = 100_000
-    lhp_samples: int = 20_000
     ratio_samples: int = 10_000
     max_descent_configs: int = 300
     edge_files: dict[str, str] = field(default_factory=dict)
@@ -274,11 +273,15 @@ def _lhp_pair(rng: np.random.Generator) -> tuple[Point, Point]:
             return u, v
 
 
+# Samples the lhp_containment suite splits over its pairs.
+_LHP_SAMPLES = 20_000
+
+
 def check_lhp_containment(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
     th = theta(cfg.k)
     n_pairs = 5
-    per_pair = max(1, cfg.lhp_samples // n_pairs)
+    per_pair = max(1, _LHP_SAMPLES // n_pairs)
     all_ok = True
     pairs = []
     for i in range(n_pairs):

@@ -18,10 +18,12 @@ from conespan.geometry import (
     GeometryError,
     Point,
     TrapezoidFrame,
+    _polar_arr,
     ccw_diff,
     cone_index,
     dist,
     gamma,
+    normalize_angle,
     polar_angle,
     first_contact,
     on_critical_arc,
@@ -29,12 +31,17 @@ from conespan.geometry import (
     theta,
     HitPart,
 )
-from conespan.paths import DescentFrame
+from conespan.paths import DescentFrame, InvariantViolation, StepKind, oy_greedy_path
 
 
 def random_points(n: int, seed: int, scale: float = 1.0) -> list[Point]:
     rng = np.random.default_rng(seed)
     return [Point(float(x), float(y)) for x, y in rng.random((n, 2)) * scale]
+
+
+def triangular_lattice(m: int) -> list[Point]:
+    """m rows of m points at unit spacing, odd rows shifted by one half."""
+    return [Point(i + 0.5 * (j % 2), j * math.sqrt(3) / 2) for j in range(m) for i in range(m)]
 
 
 @st.composite
@@ -130,13 +137,16 @@ def oracle_ty_pairs(points: list[Point], k: int) -> set[tuple[int, int]]:
 def dense_build_ty(points: list[Point], k: int) -> ConeGraph:
     """Dense trapezoidal-Yao sweep: every vertex evaluates all candidates at
     all k orientations and both mirrors.  The reference for build_ty's
-    pruned sweep, which must match its edges and ``ty_frames`` exactly."""
+    pruned sweep, which must match its whole first-contact table exactly."""
     th = theta(k)  # also enforces k > 24
     xy = as_point_array(points)
+    n = xy.shape[0]
     sin_th = np.sin(th)
     psi = np.arange(k) * (TWO_PI / k)
-    frames: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for i in range(xy.shape[0]):
+    head = np.full((n, 2 * k), -1, dtype=np.int64)
+    lam = np.full((n, 2 * k), np.inf)
+    critical = np.zeros((n, 2 * k), dtype=bool)
+    for i in range(n):
         cand, r, phi = _candidate_polar(xy, i)
         if cand.size == 0:
             continue
@@ -148,15 +158,40 @@ def dense_build_ty(points: list[Point], k: int) -> ConeGraph:
                 alpha = np.mod(psi[None, :] - phi[:, None], TWO_PI)
             else:
                 alpha = np.mod(phi[:, None] - psi[None, :], TWO_PI)
-            lam = first_contact(alpha, r[:, None], sin_th)
-            rows = np.argmin(lam, axis=0)
-            js = np.flatnonzero(on_critical_arc(lam[rows, np.arange(k)], r[rows]))
-            for j, head in zip(js.tolist(), cand[rows[js]].tolist()):
-                frames.setdefault((i, head), []).append((j, reflected))
-    # the edge set is the key set of the selection frames
-    pairs = np.array(list(frames), dtype=np.int64).reshape(-1, 2)
-    edges = edge_array(pairs[:, 0], pairs[:, 1], xy.shape[0])
-    return ConeGraph(tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_frames=frames)
+            dil = first_contact(alpha, r[:, None], sin_th)
+            rows = np.argmin(dil, axis=0)
+            best = dil[rows, np.arange(k)]
+            cols = slice(reflected * k, (reflected + 1) * k)
+            head[i, cols] = np.where(np.isfinite(best), cand[rows], -1)
+            lam[i, cols] = best
+            critical[i, cols] = on_critical_arc(best, r[rows])
+    tails, fs = np.nonzero(critical)
+    edges = edge_array(tails, head[tails, fs], n)
+    return ConeGraph(
+        tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical
+    )
+
+
+def trapezoid_contains(th: float, x: float, y: float, scale: float = 1.0, closed: bool = False) -> bool:
+    """Membership in the curved trapezoid with cap angle ``th`` scaled by ``scale``.
+
+    The open shape is {0 < x < s, 0 < y < s sin(th), x^2+y^2 < s^2,
+    (x-s)^2 + y^2 < s^2}; ``closed`` tests the closure instead.
+    """
+    s = scale
+    if closed:
+        return (
+            0.0 <= x <= s
+            and 0.0 <= y <= s * math.sin(th)
+            and x * x + y * y <= s * s
+            and (x - s) * (x - s) + y * y <= s * s
+        )
+    return (
+        0.0 < x < s
+        and 0.0 < y < s * math.sin(th)
+        and x * x + y * y < s * s
+        and (x - s) * (x - s) + y * y < s * s
+    )
 
 
 def oracle_all_pairs_dist(points: list[Point], pairs: set[tuple[int, int]]) -> np.ndarray:
@@ -256,6 +291,56 @@ def oracle_harvest(ty) -> list[tuple[DescentFrame, int]]:
             for a in np.flatnonzero(ok):
                 configs.append((DescentFrame(t, p, reflected), int(a)))
     return configs
+
+
+def oracle_first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float) -> tuple[int, float, float]:
+    """First point hit by the trapezoid grown from ``cur`` along direction
+    ``psi``, mirrored in the local coordinates ``local`` of all points, under
+    the builders' tie-break.  Returns (index, lam, r)."""
+    r, phi = _polar_arr(local[:, 0] - local[cur, 0], local[:, 1] - local[cur, 1])
+    lam = first_contact(np.mod(psi - phi, TWO_PI), r, sin_th)
+    best = np.flatnonzero(lam == lam.min())
+    win = int(best[np.argmin(phi[best])])  # ties go to the smaller angle, then index
+    if not np.isfinite(lam[win]):
+        raise InvariantViolation("trapezoid growth found no candidate point")
+    return win, float(lam[win]), float(r[win])
+
+
+def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, frame: DescentFrame, a: int):
+    """Reference trapezoid descent that finds each growth step by first
+    contact over all points in the frame's unit-local coordinates instead of
+    reading build_ty's table.  Returns the vertex walk and the (kind, length,
+    psi) of each step; raises InvariantViolation where a critical-arc hit is
+    not a trapezoidal-Yao edge."""
+    local, scale = oracle_local_coords(ty.xy, frame.o, frame.p, frame.reflected)
+    sin_th = math.sin(theta(ty.k))
+    grid = TWO_PI / ty.k
+    vertices, steps, cur = [a], [], a
+    for _ in range(ty.n):
+        phi_uo = normalize_angle(math.atan2(-local[cur, 1], -local[cur, 0]))
+        if cur == frame.o or phi_uo <= 5.0 * math.pi / 6.0:
+            break
+        j = int(phi_uo / grid)
+        while j * grid <= phi_uo:
+            j += 1
+        win, lam, r_win = oracle_first_contact(local, cur, j * grid, sin_th)
+        if on_critical_arc(lam, r_win):
+            if not ty.has_edge(cur, win):
+                raise InvariantViolation(f"critical hit {cur}->{win} is not a trapezoidal-Yao edge")
+            steps.append((StepKind.DIRECT_TY_EDGE, r_win, j * grid))
+            vertices.append(win)
+        else:
+            sub = oy_greedy_path(oy, cur, win)
+            steps.append((StepKind.OY_SUBPATH, sub.total_length / scale, j * grid))
+            vertices.extend(sub.vertices[1:])
+        cur = win
+    else:
+        raise InvariantViolation(f"oracle descent from {a} exceeded {ty.n} iterations")
+    if cur != frame.o:
+        sub = oy_greedy_path(oy, cur, frame.o)
+        steps.append((StepKind.FINAL_OY_SUBPATH, sub.total_length / scale, None))
+        vertices.extend(sub.vertices[1:])
+    return tuple(vertices), steps
 
 
 @pytest.fixture

@@ -44,6 +44,7 @@ from conftest import (
     oracle_yy_pairs,
     random_points,
     small_point_sets,
+    triangular_lattice,
 )
 
 
@@ -220,9 +221,12 @@ class TestBuildTy:
 
 
 def assert_same_ty(got: ConeGraph, ref: ConeGraph) -> None:
+    # every frame's winner and dilation, critical or not: the descent
+    # follows non-critical winners into greedy overlapping-Yao subpaths
+    assert np.array_equal(got.ty_head, ref.ty_head)
+    assert np.array_equal(got.ty_lam, ref.ty_lam)
+    assert np.array_equal(got.ty_critical, ref.ty_critical)
     assert np.array_equal(got.edges, ref.edges)
-    assert got.ty_frames == ref.ty_frames
-    assert list(got.ty_frames) == list(ref.ty_frames)
 
 
 # sets large enough that every vertex leaves candidates out of its prefix
@@ -233,6 +237,9 @@ PRUNED_SETS = {
     "cocircular200_jitter": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 200, seed=4, jitter=1e-3)),
     "grid20x20": lambda: gen_points(GenSpec(GenKind.GRID, 400, pitch=1.0)),
     "two_rows": lambda: [Point(float(i), float(y)) for y in (0, 1) for i in range(150)],
+    "cocircular60": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 60)),
+    "cocircular100": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 100)),
+    "trilattice8x8": lambda: triangular_lattice(8),
 }
 
 
@@ -247,6 +254,16 @@ class TestTyPrunedSweep:
         pts = PRUNED_SETS[name]()
         assert len(pts) - 1 > build._TY_PREFIX
         assert_same_ty(build_ty(pts, k), dense_build_ty(pts, k))
+
+    @pytest.mark.parametrize("prefix", [8, build._TY_PREFIX])
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    def test_small_exact_cocircular_matches_dense_oracle(self, prefix, k):
+        # 47 candidates per vertex: the default prefix holds them all, and a
+        # prefix of 8 splits them into settled and rescanned frames
+        pts = gen_points(GenSpec(GenKind.CO_CIRCULAR, 48))
+        with patch.object(build, "_TY_PREFIX", prefix):
+            got = build_ty(pts, k)
+        assert_same_ty(got, dense_build_ty(pts, k))
 
     @given(
         small_point_sets(),

@@ -216,6 +216,21 @@ class TestVerify:
         assert witnesses
         assert all("expected an overlapping-Yao edge" in w["message"] for w in witnesses)
 
+    @pytest.mark.parametrize(
+        "n,k", [(100, 30), (60, 30), (48, 26)], ids=["false_witness", "pi_6_edge", "pi_6_edge_k26"]
+    )
+    def test_exact_cocircular_potential_passes(self, n, k, tmp_path, capsys):
+        # exact co-circular input puts points on frames' bottom rays: a
+        # descent deciding first contact apart from build_ty reported a
+        # missing trapezoidal-Yao edge (n=100), and one deciding phi(a->p)
+        # apart from the harvest rejected a harvested witness (n=60, n=48)
+        rep = tmp_path / "rep.json"
+        code = run("verify", "--kind", "co_circular", "--n", str(n), "--k", str(k),
+                   "--suite", "potential", "--out", str(rep))
+        assert (code, capsys.readouterr().err) == (0, "")
+        [check] = json.loads(rep.read_text())["checks"]
+        assert check["passed"] and check["details"]["configs"] == 300
+
     def test_disconnected_graphs_give_strict_json_report(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("[]")

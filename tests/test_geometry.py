@@ -22,9 +22,8 @@ from conespan.geometry import (
     scale_to_hit,
     theta,
     to_local,
-    trapezoid_contains,
 )
-from conftest import bisect_first_contact
+from conftest import bisect_first_contact, trapezoid_contains
 
 finite_angles = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 

@@ -15,7 +15,6 @@ from conespan.paths import (
     DescentFrame,
     InvariantViolation,
     StepKind,
-    _first_contact,
     _iter_descent_configs,
     descent_length_bound,
     harvest_descent_configs,
@@ -24,7 +23,15 @@ from conespan.paths import (
     ty_descent_path,
 )
 from conespan.verify import RunConfig, check_potential
-from conftest import oracle_harvest, oracle_local_coords, random_points, small_point_sets
+from conftest import (
+    oracle_descent_walk,
+    oracle_first_contact,
+    oracle_harvest,
+    oracle_local_coords,
+    random_points,
+    small_point_sets,
+    triangular_lattice,
+)
 
 TOL = 1e-9
 
@@ -244,19 +251,19 @@ class TestTyDescentPath:
             tr = ty_descent_path(ty, oy, frame, a)
             assert tr.vertices[-1] == frame.o
 
-    def test_frame_mismatch_diagnostic_fires(self, setup):
-        # the diagnostic compares the growth frame against the edge's recorded
-        # selection frames; dropping the records must surface a mismatch on
-        # any trace that takes a direct edge
+    def test_interior_precondition_reads_the_table(self, setup):
+        # p pushed out to 1.5 |op| grows the placed shape past the frame's
+        # own first hit, the head of the edge it selected
         pts, ty, oy = setup
-        doctored = replace(ty, ty_frames={pair: [] for pair in ty.ty_frames})
-        for frame, a in harvest_descent_configs(ty)[:50]:
-            tr = ty_descent_path(doctored, oy, frame, a)
-            if any(s.kind is StepKind.DIRECT_TY_EDGE for s in tr.steps):
-                assert tr.diagnostics
-                break
-        else:
-            pytest.fail("no trace with a direct edge found in the first 50 configs")
+        frame, a = harvest_descent_configs(ty)[0]
+        o_pt = pts[frame.o]
+        far = Point(o_pt.x + 1.5 * (frame.p.x - o_pt.x), o_pt.y + 1.5 * (frame.p.y - o_pt.y))
+        j = round(math.atan2(frame.p.y - o_pt.y, frame.p.x - o_pt.x) / (TWO_PI / ty.k)) % ty.k
+        winner = ty.ty_head[frame.o, frame.reflected * ty.k + j]
+        assert ty.ty_critical[frame.o, frame.reflected * ty.k + j]
+        assert dist(o_pt, pts[winner]) == pytest.approx(dist(o_pt, frame.p), rel=1e-12)
+        with pytest.raises(GeometryError, match=f"interior contains point {winner}$"):
+            ty_descent_path(ty, oy, DescentFrame(frame.o, far, frame.reflected), a)
 
     def test_all_step_kinds_reachable(self):
         # across a few seeds the harvest exercises every labeled step kind
@@ -280,10 +287,10 @@ class TestTyDescentPath:
         pts = [Point(0.0, 0.0), Point(0.5, -1e-300), Point(0.5, 0.0)]
         k = 30
         xy = np.array([[p.x, p.y] for p in pts])
-        win, _, _ = _first_contact(xy, 0, 2 * TWO_PI / k, math.sin(theta(k)))
-        frames = build_ty(pts, k).ty_frames
-        selected = {h for (t, h), fs in frames.items() if t == 0 and (2, True) in fs}
-        assert selected == {win} == {1}
+        win, _, _ = oracle_first_contact(xy, 0, 2 * TWO_PI / k, math.sin(theta(k)))
+        ty = build_ty(pts, k)
+        selected = {h for (t, h), fs in ty.ty_frames.items() if t == 0 and (2, True) in fs}
+        assert selected == {win} == {ty.ty_head[0, k + 2]} == {1}
 
 
 def _config_rows(configs):
@@ -296,7 +303,16 @@ HARVEST_SETS = {
     "cocircular": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 60, seed=2, jitter=1e-3)),
     "grid": lambda: gen_points(GenSpec(GenKind.GRID, 49, pitch=1.0)),
     "two_rows": lambda: [Point(float(i), float(y)) for y in (0, 1) for i in range(8)],
+    "trilattice": lambda: triangular_lattice(8),
+    "cocircular48": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 48)),
+    "cocircular60": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 60)),
+    "cocircular100": lambda: gen_points(GenSpec(GenKind.CO_CIRCULAR, 100)),
 }
+# exactly co-circular sets put harvested witnesses on frames' bottom rays
+EXACT_SETS = ["cocircular48", "cocircular60", "cocircular100"]
+# the walk reads build_ty's table; elsewhere it equals a first-contact walk
+# over all points (tests/conftest.py), which on EXACT_SETS picks other winners
+WALK_SETS = [name for name in HARVEST_SETS if name not in EXACT_SETS]
 
 
 class TestHarvest:
@@ -369,3 +385,42 @@ class TestHarvest:
         _, ty, _ = setup
         per_edge = [c for edge in sorted(ty.ty_frames) for c in harvest_descent_configs(ty, edge=edge)]
         assert _config_rows(per_edge) == _config_rows(harvest_descent_configs(ty))
+
+
+class TestDescentTable:
+    """The descent reads each growth step off build_ty's first-contact table."""
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    @pytest.mark.parametrize("name", WALK_SETS)
+    def test_matches_oracle_walk(self, name, k):
+        pts = HARVEST_SETS[name]()
+        ty, oy = build_ty(pts, k), build_oy(pts, k)
+        configs = harvest_descent_configs(ty)
+        for frame, a in configs[:: max(1, len(configs) // 400)]:
+            tr = ty_descent_path(ty, oy, frame, a)
+            vertices, steps = oracle_descent_walk(ty, oy, frame, a)
+            assert tr.vertices == vertices
+            assert [(s.kind, s.length, s.psi) for s in tr.steps] == steps
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    @pytest.mark.parametrize("name", EXACT_SETS)
+    def test_walks_every_exact_cocircular_config(self, name, k):
+        # a first-contact pass of the descent's own disagreed with build_ty
+        # about points on a frame's bottom ray and raised on these configs
+        pts = HARVEST_SETS[name]()
+        ty, oy = build_ty(pts, k), build_oy(pts, k)
+        configs = harvest_descent_configs(ty)
+        assert configs
+        for frame, a in configs:
+            tr = ty_descent_path(ty, oy, frame, a)
+            assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
+
+    def test_witness_on_the_pi_6_edge_is_harvested_and_walkable(self):
+        # phi(a->p) of witness 33 rounds to pi/6 from below in np.arctan2 and
+        # onto it in math.atan2; harvest and descent must decide alike
+        pts = triangular_lattice(8)
+        ty, oy = build_ty(pts, 32), build_oy(pts, 32)
+        configs = [(f, a) for f, a in harvest_descent_configs(ty) if (f.o, a) == (32, 33)]
+        assert configs
+        for frame, a in configs:
+            ty_descent_path(ty, oy, frame, a)
