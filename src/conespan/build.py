@@ -114,13 +114,6 @@ def as_point_array(points: Sequence[Point]) -> np.ndarray:
     return xy
 
 
-def _candidate_polar(xy: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices, distances, and normalized polar angles of all points but i, seen from i."""
-    cand = np.concatenate([np.arange(i), np.arange(i + 1, xy.shape[0])])
-    r, phi = _polar_arr(*(xy[cand] - xy[i]).T)
-    return cand, r, phi
-
-
 def _cone_index_arr(k: int, phi: np.ndarray) -> np.ndarray:
     """Vectorized counterpart of geometry.cone_index on normalized angles."""
     w = TWO_PI / k
@@ -140,18 +133,104 @@ def _from_choice(
     return ConeGraph(points, xy, choice.shape[1], family, edges, cone_choice=choice)
 
 
+# Nearest candidates per vertex that the pruned sweep scans before any rescan.
+_PREFIX = 48
+# (vertex, candidate, frame) entries per vectorized pass; bounds temporaries to a few MB.
+_BLOCK = 1 << 16
+
+
+def _candidates(xy: np.ndarray, rows: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """The ``m`` nearest other points of each vertex in ``rows`` (all when
+    m >= n - 1) as (len(rows), m) index, distance and polar-angle matrices,
+    and per row the smallest distance left out (+inf when none is)."""
+    col = np.arange(xy.shape[0] - 1)
+    cand = col + (col >= rows[:, None])  # every point but the row's own vertex
+    dx, dy = xy[cand, 0] - xy[rows, 0, None], xy[cand, 1] - xy[rows, 1, None]
+    r_out = np.full(len(rows), np.inf)
+    if m < cand.shape[1]:  # angles only for the points kept
+        r = np.hypot(dx, dy)
+        near = np.argpartition(r, m, axis=1)
+        r_out = np.take_along_axis(r, near[:, m : m + 1], axis=1)[:, 0]
+        cand, dx, dy = (np.take_along_axis(a, near[:, :m], axis=1) for a in (cand, dx, dy))
+    return (cand, *_polar_arr(dx, dy), r_out)
+
+
+def _winners(
+    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, frame: np.ndarray, hit, score, wanted: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Tie-broken winner of each wanted frame of b vertices among their
+    candidate rows (see :func:`_candidates`); ``wanted`` is a (b, F) mask.
+    ``frame`` holds, along a new last axis, the frames at which each
+    candidate is evaluated, and ``hit`` marks the entries that can win one;
+    ``score(idx, r)`` scores those flat entries ``idx`` at distances ``r``.
+    Returns (b, F) arrays: the winner's index (-1 where nothing is hit or
+    the frame is not wanted), its score (+inf there) and its distance."""
+    b, f = wanted.shape
+    key = frame + (np.arange(b) * f)[:, None, None]
+    idx = np.flatnonzero(hit & np.take(wanted, key))
+    key = key.ravel()[idx]
+    entry = idx // frame.shape[-1]
+    scores = score(idx, r.ravel()[entry])
+    best = np.full(b * f, np.inf)
+    np.minimum.at(best, key, scores)
+    won = np.flatnonzero(scores == best[key])
+    # a frame's tie-broken winner has the least score, then angle, then index
+    won = won[np.lexsort((cand.ravel()[entry[won]], phi.ravel()[entry[won]], key[won]))]
+    keys, first = np.unique(key[won], return_index=True)
+    win = entry[won[first]]
+    head = np.full(b * f, -1, dtype=np.int64)
+    head[keys] = cand.ravel()[win]
+    r_head = np.zeros(b * f)
+    r_head[keys] = r.ravel()[win]
+    return head.reshape(b, f), best.reshape(b, f), r_head.reshape(b, f)
+
+
+def _sweep(xy: np.ndarray, f: int, width: int, window) -> tuple[np.ndarray, ...]:
+    """Each vertex's tie-broken winner of each of its ``f`` frames, as (n, f)
+    tables of winner index, score and distance (see :func:`_winners`).
+    ``window(phi)`` gives, for candidate angles, the ``width`` frames of
+    each candidate, which entries can win them and their score, which is
+    never below the candidate's distance.
+
+    Each vertex first scans its ``_PREFIX`` nearest candidates.  A frame
+    whose best score there is strictly below the distance of every
+    candidate left out is settled: no other point can win or tie it.
+    Vertices with unsettled frames (empty ones included, as on hull-heavy
+    inputs) rescan all their candidates for those frames only.  Both passes
+    run over blocks of vertices holding about ``_BLOCK`` (vertex, candidate,
+    frame) entries each, and no more (vertex, candidate) pairs.
+    """
+    n = xy.shape[0]
+    tables = (np.full((n, f), -1, dtype=np.int64), np.full((n, f), np.inf), np.zeros((n, f)))
+    r_out = np.full(n, np.inf)
+    wanted, todo = np.ones((n, f), dtype=bool), np.arange(n)
+    for m in (min(_PREFIX, n - 1), n - 1):  # the prefix pass, then the rescan
+        step = max(1, _BLOCK // max(m * width, n - 1, 1))
+        for lo in range(0, len(todo), step):
+            rows = todo[lo : lo + step]
+            cand, r, phi, r_out[rows] = _candidates(xy, rows, m)
+            got = _winners(cand, r, phi, *window(phi), wanted[rows])
+            for table, part in zip(tables, got):
+                table[rows] = np.where(wanted[rows], part, table[rows])
+        # settled: best score (tables[1]) below r_out, which every left-out
+        # candidate's score reaches; r_out is +inf where none was left out
+        wanted = ~(tables[1] < r_out[:, None]) & np.isfinite(r_out)[:, None]
+        todo = np.flatnonzero(wanted.any(axis=1))
+    return tables
+
+
 def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
     """Yao graph: per vertex and per cone of the uniform k-partition, keep the
-    directed edge to the tie-broken nearest point inside the cone."""
+    directed edge to the tie-broken nearest point inside the cone.  The cones
+    are the frames of :func:`_sweep`, and a candidate's score is its distance."""
     if k < 1:
         raise GeometryError(f"k must be >= 1, got {k}")
     xy = as_point_array(points)
-    choice = np.full((xy.shape[0], k), -1, dtype=np.int64)
-    for i in range(xy.shape[0]):
-        cand, r, phi = _candidate_polar(xy, i)
-        order = np.lexsort((cand, phi, r))
-        cones, first = np.unique(_cone_index_arr(k, phi)[order], return_index=True)
-        choice[i, cones] = cand[order[first]]
+
+    def cone(phi: np.ndarray):
+        return _cone_index_arr(k, phi)[..., None], True, lambda idx, r: r
+
+    choice, _, _ = _sweep(xy, k, 1, cone)
     return _from_choice(Family.YAO, tuple(points), xy, choice)
 
 
@@ -211,13 +290,6 @@ def build_oy(points: Sequence[Point], k: int) -> ConeGraph:
     return derive_oy(yao)
 
 
-# Nearest candidates per vertex that build_ty examines before any full scan.
-_TY_PREFIX = 48
-# (vertex, candidate, frame) entries per vectorized pass of build_ty; bounds
-# its temporaries to a few MB.
-_TY_BLOCK = 1 << 16
-
-
 def _ty_window(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The frames (reflected * k + orientation index j) at which candidates
     at polar angles ``phi`` are evaluated, along a new last axis, and each
@@ -244,103 +316,30 @@ def _ty_window(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take(frame_of, at), np.where(diff < 0.0, diff + TWO_PI, diff)
 
 
-def _ty_candidates(
-    xy: np.ndarray, rows: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``m`` nearest other points of each vertex in ``rows`` (all of them
-    when m >= n - 1) as (len(rows), m) index, distance and polar-angle
-    matrices, each row in (angle, index) order, and per row the smallest
-    distance left out (+inf when none is)."""
-    col = np.arange(xy.shape[0] - 1)
-    cand = col + (col >= rows[:, None])  # every point but the row's own vertex
-    r, phi = _polar_arr(xy[cand, 0] - xy[rows, 0, None], xy[cand, 1] - xy[rows, 1, None])
-    r_out = np.full(len(rows), np.inf)
-    if m < cand.shape[1]:
-        near = np.argpartition(r, m, axis=1)
-        r_out = np.take_along_axis(r, near[:, m : m + 1], axis=1)[:, 0]
-        cand, r, phi = (np.take_along_axis(a, near[:, :m], axis=1) for a in (cand, r, phi))
-    # in (angle, index) order the first minimum of a frame is its tie-broken winner
-    order = np.lexsort((cand, phi), axis=1)
-    cand, r, phi = (np.take_along_axis(a, order, axis=1) for a in (cand, r, phi))
-    return cand, r, phi, r_out
-
-
-def _ty_winners(
-    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, wanted: np.ndarray, sin_th: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tie-broken first-contact winner of each wanted frame (reflected * k +
-    orientation) of b vertices among their candidate rows (see
-    :func:`_ty_candidates`); ``wanted`` is a (b, 2k) mask.  Returns (b, 2k)
-    arrays: the winner's index (-1 where no candidate is hit or the frame is
-    not wanted), its dilation (+inf there) and its distance."""
-    b, k2 = wanted.shape
-    frame, alpha = _ty_window(phi, k2 // 2)
-    key = frame + (np.arange(b) * k2)[:, None, None]
-    # only entries inside a wanted frame's quarter-plane have a finite dilation
-    idx = np.flatnonzero((alpha < HALF_PI) & np.take(wanted, key))
-    key = key.ravel()[idx]
-    entry = idx // frame.shape[-1]
-    lam = first_contact(alpha.ravel()[idx], r.ravel()[entry], sin_th)
-    best = np.full(b * k2, np.inf)
-    np.minimum.at(best, key, lam)
-    hit = np.flatnonzero(lam == best[key])  # row-major: (vertex, angle, index) order
-    keys, first = np.unique(key[hit], return_index=True)
-    win = entry[hit[first]]
-    head = np.full(b * k2, -1, dtype=np.int64)
-    head[keys] = cand.ravel()[win]
-    r_head = np.zeros(b * k2)
-    r_head[keys] = r.ravel()[win]
-    return head.reshape(b, k2), best.reshape(b, k2), r_head.reshape(b, k2)
-
-
 def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     """Trapezoidal-Yao graph: per vertex, per orientation 2j*pi/k, and per
     mirror image, grow the placed curved trapezoid until it first hits a
     point; keep the edge only when the hit lies on the critical arc.
 
-    Each candidate's first-contact dilation follows from its angle to the
-    frame (:func:`first_contact`); only the ceil(k/4) + 3 orientations per
-    mirror whose quarter-plane can hold it are evaluated.  Each vertex first
-    scans its ``_TY_PREFIX`` nearest candidates.  A dilation is never below
-    the candidate's distance, so a frame whose best dilation there is
-    strictly below the distance of every candidate left out is settled: no
-    other point can win or tie it.  Vertices with unsettled frames (empty
-    ones included, as on hull-heavy inputs) rescan all their candidates for
-    those frames only.  Both passes run over blocks of vertices holding about
-    ``_TY_BLOCK`` (vertex, candidate, frame) entries each.  The graph keeps
-    the resulting first-contact table (see :class:`ConeGraph`).
+    The frames (reflected * k + orientation index) are those of the pruned
+    sweep (:func:`_sweep`); a candidate's score is its first-contact
+    dilation (:func:`first_contact`), evaluated only at the ceil(k/4) + 3
+    orientations per mirror whose quarter-plane can hold it.  The graph
+    keeps the first-contact table (see :class:`ConeGraph`).
     """
     th = theta(k)  # also enforces k > 24
     xy = as_point_array(points)
-    n = xy.shape[0]
     sin_th = np.sin(th)
-    m = min(_TY_PREFIX, n - 1)
-    width = 2 * (-(-k // 4) + 3)  # frames evaluated per candidate
-    head = np.full((n, 2 * k), -1, dtype=np.int64)
-    lam = np.full((n, 2 * k), np.inf)
-    r_head = np.zeros((n, 2 * k))
-    r_out = np.full(n, np.inf)
-    step = max(1, _TY_BLOCK // (max(m, 1) * width))
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        cand, r, phi, r_out[rows] = _ty_candidates(xy, rows, m)
-        wanted = np.ones((len(rows), 2 * k), dtype=bool)
-        head[rows], lam[rows], r_head[rows] = _ty_winners(cand, r, phi, wanted, sin_th)
-    # every left-out candidate has dilation >= its distance >= r_out, and
-    # r_out is +inf where the prefix held every candidate
-    unsettled = ~(lam < r_out[:, None])
-    rescan = np.flatnonzero(unsettled.any(axis=1) & np.isfinite(r_out))
-    step = max(1, _TY_BLOCK // (max(n - 1, 1) * width))
-    for lo in range(0, len(rescan), step):
-        rows = rescan[lo : lo + step]
-        cand, r, phi, _ = _ty_candidates(xy, rows, n - 1)
-        wanted = unsettled[rows]
-        got = _ty_winners(cand, r, phi, wanted, sin_th)
-        for table, part in zip((head, lam, r_head), got):
-            table[rows] = np.where(wanted, part, table[rows])
+
+    def trapezoid(phi: np.ndarray):
+        frame, alpha = _ty_window(phi, k)
+        # only entries inside a frame's quarter-plane have a finite dilation
+        return frame, alpha < HALF_PI, lambda idx, r: first_contact(alpha.ravel()[idx], r, sin_th)
+
+    head, lam, r_head = _sweep(xy, 2 * k, 2 * (-(-k // 4) + 3), trapezoid)
     critical = on_critical_arc(lam, r_head)  # empty frames: +inf > 0
     tails, fs = np.nonzero(critical)
-    edges = edge_array(tails, head[tails, fs], n)
+    edges = edge_array(tails, head[tails, fs], xy.shape[0])
     return ConeGraph(
         tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical
     )

@@ -54,7 +54,7 @@ SUITES = (
 @dataclass
 class RunConfig:
     """Shared configuration for CLI runs: graph family and parameter, point
-    source (generator spec or input file), outputs, suite toggles, and
+    source (generator spec or input file), suite toggles, sample counts, and
     tolerance overrides."""
 
     family: str | None = None
@@ -69,7 +69,6 @@ class RunConfig:
     clusters: int = 5
     spread: float = 0.05
     input_path: str | None = None
-    output_path: str | None = None
     suites: tuple[str, ...] = ("all",)
     tolerance: float = 1e-9
     sector_samples: int = 100_000
@@ -93,9 +92,14 @@ class RunConfig:
                 raise ConfigError(f"unknown family {self.family!r}") from None
             if fam in (Family.OVERLAPPING_YAO, Family.TRAPEZOIDAL_YAO) and self.k <= 24:
                 raise ConfigError(f"family {fam.value} requires k > 24, got k={self.k}")
+        if not self.suites:
+            raise ConfigError(f"no suite selected (choose from {SUITES} or 'all')")
         unknown = [s for s in self.suites if s != "all" and s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown} (choose from {SUITES})")
+        for name in ("sector_samples", "ratio_samples", "max_descent_configs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def genspec(self) -> GenSpec:
         try:

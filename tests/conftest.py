@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from conespan.build import ConeGraph, Family, _candidate_polar, as_point_array, edge_array
+from conespan.build import ConeGraph, Family, _cone_index_arr, _from_choice, as_point_array, edge_array
 from conespan.geometry import (
     TWO_PI,
     GeometryError,
@@ -132,6 +132,29 @@ def oracle_ty_pairs(points: list[Point], k: int) -> set[tuple[int, int]]:
                 if part is HitPart.CRITICAL_ARC:
                     out.add((u, v))
     return out
+
+
+def _candidate_polar(xy: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, distances, and normalized polar angles of all points but i, seen from i."""
+    cand = np.concatenate([np.arange(i), np.arange(i + 1, xy.shape[0])])
+    r, phi = _polar_arr(*(xy[cand] - xy[i]).T)
+    return cand, r, phi
+
+
+def dense_build_yao(points: list[Point], k: int) -> ConeGraph:
+    """Dense Yao scan: every vertex sorts all its candidates by (distance,
+    angle, index) and keeps the first per cone.  The reference for
+    build_yao's pruned sweep, which must match its selection table exactly."""
+    if k < 1:
+        raise GeometryError(f"k must be >= 1, got {k}")
+    xy = as_point_array(points)
+    choice = np.full((xy.shape[0], k), -1, dtype=np.int64)
+    for i in range(xy.shape[0]):
+        cand, r, phi = _candidate_polar(xy, i)
+        order = np.lexsort((cand, phi, r))
+        cones, first = np.unique(_cone_index_arr(k, phi)[order], return_index=True)
+        choice[i, cones] = cand[order[first]]
+    return _from_choice(Family.YAO, tuple(points), xy, choice)
 
 
 def dense_build_ty(points: list[Point], k: int) -> ConeGraph:

@@ -17,7 +17,6 @@ from conespan.build import (
     build_yao,
     build_yao_yao,
     edge_array,
-    _candidate_polar,
     _ty_window,
 )
 from conespan.analysis import _undirected, subgraph_check
@@ -37,7 +36,9 @@ from conespan.geometry import (
 )
 from conespan.pointgen import GenKind, GenSpec, gen_points
 from conftest import (
+    _candidate_polar,
     dense_build_ty,
+    dense_build_yao,
     oracle_oy_pairs,
     oracle_ty_pairs,
     oracle_yao_pairs,
@@ -229,6 +230,19 @@ def assert_same_ty(got: ConeGraph, ref: ConeGraph) -> None:
     assert np.array_equal(got.edges, ref.edges)
 
 
+def assert_same_yao(got: ConeGraph, ref: ConeGraph) -> None:
+    # Yao-Yao and overlapping-Yao are derived from the selection table
+    assert np.array_equal(got.cone_choice, ref.cone_choice)
+    assert np.array_equal(got.edges, ref.edges)
+
+
+# the builders on the pruned sweep: (builder, dense oracle, comparison)
+SWEPT = {
+    "ty": (build_ty, dense_build_ty, assert_same_ty),
+    "yao": (build_yao, dense_build_yao, assert_same_yao),
+}
+
+
 # sets large enough that every vertex leaves candidates out of its prefix
 PRUNED_SETS = {
     "uniform300": lambda: gen_points(GenSpec(GenKind.UNIFORM_SQUARE, 300, seed=4)),
@@ -244,24 +258,32 @@ PRUNED_SETS = {
 
 
 class TestTyPrunedSweep:
-    """build_ty settles frames from each vertex's nearest points and rescans
-    the rest over a window of orientations; its edges and selection frames
-    must equal the dense sweep's (tests/conftest.py) exactly."""
+    """build_yao and build_ty settle frames (cones, trapezoid frames) from
+    each vertex's nearest points and rescan the rest; the Yao selection
+    table and the trapezoidal-Yao first-contact table must equal the dense
+    scans' (tests/conftest.py) exactly.  Unlabelled k are trapezoidal-Yao."""
 
-    @pytest.mark.parametrize("k", [26, 30, 84])
+    # on uniform input Yao at k=8 settles most vertices from the prefix; at
+    # k=84, more cones than prefix points, every vertex rescans
+    @pytest.mark.parametrize(
+        "family,k",
+        [("ty", 26), ("ty", 30), ("ty", 84), ("yao", 8), ("yao", 30), ("yao", 84)],
+        ids=["26", "30", "84", "yao8", "yao30", "yao84"],
+    )
     @pytest.mark.parametrize("name", list(PRUNED_SETS))
-    def test_matches_dense_oracle(self, name, k):
+    def test_matches_dense_oracle(self, name, family, k):
         pts = PRUNED_SETS[name]()
-        assert len(pts) - 1 > build._TY_PREFIX
-        assert_same_ty(build_ty(pts, k), dense_build_ty(pts, k))
+        assert len(pts) - 1 > build._PREFIX
+        builder, dense, assert_same = SWEPT[family]
+        assert_same(builder(pts, k), dense(pts, k))
 
-    @pytest.mark.parametrize("prefix", [8, build._TY_PREFIX])
+    @pytest.mark.parametrize("prefix", [8, build._PREFIX])
     @pytest.mark.parametrize("k", [26, 30, 84])
     def test_small_exact_cocircular_matches_dense_oracle(self, prefix, k):
         # 47 candidates per vertex: the default prefix holds them all, and a
         # prefix of 8 splits them into settled and rescanned frames
         pts = gen_points(GenSpec(GenKind.CO_CIRCULAR, 48))
-        with patch.object(build, "_TY_PREFIX", prefix):
+        with patch.object(build, "_PREFIX", prefix):
             got = build_ty(pts, k)
         assert_same_ty(got, dense_build_ty(pts, k))
 
@@ -269,17 +291,19 @@ class TestTyPrunedSweep:
         small_point_sets(),
         st.integers(-40, 40),
         st.sampled_from([1, 3]),
-        st.sampled_from([1, build._TY_BLOCK]),
-        st.sampled_from([26, 30, 84]),
+        st.sampled_from([1, build._BLOCK]),
+        st.sampled_from([("ty", 26), ("ty", 30), ("ty", 84), ("yao", 5), ("yao", 8), ("yao", 30)]),
     )
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_settle_and_rescan_match_dense_oracle(self, pts, j, prefix, block, k):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_settle_and_rescan_match_dense_oracle(self, pts, j, prefix, block, family_k):
         # a prefix of 1 or 3 points splits even tiny sets into settled and
         # rescanned frames; a block of 1 runs one vertex per pass
+        family, k = family_k
+        builder, dense, assert_same = SWEPT[family]
         scaled = [Point(p.x * 2.0**j, p.y * 2.0**j) for p in pts]
-        with patch.object(build, "_TY_PREFIX", prefix), patch.object(build, "_TY_BLOCK", block):
-            got = build_ty(scaled, k)
-        assert_same_ty(got, dense_build_ty(scaled, k))
+        with patch.object(build, "_PREFIX", prefix), patch.object(build, "_BLOCK", block):
+            got = builder(scaled, k)
+        assert_same(got, dense(scaled, k))
 
 
 def assert_window_covers(phi: np.ndarray, r: np.ndarray, k: int) -> None:

@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+from conespan import verify
 from conespan.build import build_oy, build_ty
 from conespan.cli import main
 from conespan.fileio import read_points
 from conespan.geometry import TWO_PI, Point, dist
 from conespan.paths import InvariantViolation, ty_descent_path
+from conespan.verify import ConfigError, RunConfig
 from conftest import oracle_harvest
 
 
@@ -274,6 +276,29 @@ class TestVerify:
     def test_unknown_suite_config_error(self, workspace):
         _, pts = workspace
         assert run("verify", "--k", "30", "--in", str(pts), "--suite", "bogus") == 2
+
+    @pytest.mark.parametrize("suite", [",", " , "], ids=["comma", "blank"])
+    def test_empty_suite_selection_config_error(self, workspace, suite, capsys):
+        # a selection naming no suite would run no check and report a pass
+        _, pts = workspace
+        assert run("verify", "--k", "30", "--in", str(pts), "--suite", suite) == 2
+        assert "no suite selected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--ratio-samples", "0"), ("--sector-samples", "0"), ("--ratio-samples", "-5"), ("--sector-samples", "-1")],
+    )
+    def test_sample_count_below_one_config_error(self, workspace, flag, value, capsys, monkeypatch):
+        # rejected before any graph is built: 0 ratio samples passed every
+        # ratio_bound check with max_ratio 0.0
+        _, pts = workspace
+        monkeypatch.setattr(verify, "_get_graphs", lambda *_: pytest.fail("graphs built before validation"))
+        assert run("verify", "--k", "30", "--in", str(pts), "--suite", "ratio_bound,sector_cover", flag, value) == 2
+        assert flag[2:].replace("-", "_") + " must be >= 1" in capsys.readouterr().err
+
+    def test_max_descent_configs_below_one_config_error(self):
+        with pytest.raises(ConfigError, match="max_descent_configs must be >= 1"):
+            RunConfig(max_descent_configs=0).validate()
 
 
 class TestRender:
