@@ -50,6 +50,7 @@ from .geometry import (
     to_local,
 )
 from .paths import (
+    DescentConfigs,
     DescentFrame,
     InvariantViolation,
     PathTrace,
@@ -67,6 +68,7 @@ from .render import RenderOptions, render_svg
 __all__ = [
     "BoundTable",
     "ConeGraph",
+    "DescentConfigs",
     "DescentFrame",
     "Family",
     "GenKind",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from mpmath import mp
@@ -46,6 +47,7 @@ class BoundTable:
     t_k: float
 
 
+@cache  # pure in k, and the paths call it once per walk
 def tau_bound(k: int) -> float:
     """Stretch bound 1 / (1 - 2 sin(pi/k + pi/8)) for the widened-cone and
     trapezoidal families; positive (hence meaningful) exactly when k > 24."""
@@ -221,3 +223,18 @@ def ratio_oracle(u: Point, v: Point, w: Point, tau: float) -> float:
                 f"base angles must lie in [0, pi/2) (got {ang_u} at u, {ang_v} at v)"
             )
     return duw / (duv - tau * dvw)
+
+
+def sector_ratios(wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ratio_oracle(Point(0, 0), Point(1, 0), w, 1.0)`` at each w = (wx, wy),
+    in numpy, and a mask of the w where the oracle's validity conditions hold
+    (it raises at the others): |vw| < |uv| = 1, and unless w = v, both base
+    angles below pi/2.  The same arithmetic as the oracle, except that numpy's
+    hypot and arctan2 may differ from ``math``'s in the last bit."""
+    duw = np.hypot(wx, wy)
+    dvw = np.hypot(wx - 1.0, wy)
+    ang_u = np.abs(np.arctan2(-wy, wx))
+    ang_v = np.abs(np.arctan2(wy, 1.0 - wx))
+    valid = (dvw < 1.0) & ((dvw == 0.0) | ((ang_u < math.pi / 2) & (ang_v < math.pi / 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return duw / (1.0 - dvw), valid

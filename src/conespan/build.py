@@ -196,7 +196,11 @@ def _sweep(xy: np.ndarray, f: int, width: int, window) -> tuple[np.ndarray, ...]
     whose best score there is strictly below the distance of every
     candidate left out is settled: no other point can win or tie it.
     Vertices with unsettled frames (empty ones included, as on hull-heavy
-    inputs) rescan all their candidates for those frames only.  Both passes
+    inputs) rescan all their candidates for those frames only.  When the
+    prefix's candidates reach fewer than ``f`` frames in all
+    (``_PREFIX * width < f``), some frame of every vertex stays empty there,
+    so the prefix pass is skipped and every vertex scans all its candidates
+    at once.  Both passes
     run over blocks of vertices holding about ``_BLOCK`` (vertex, candidate,
     frame) entries each, and no more (vertex, candidate) pairs.
     """
@@ -204,7 +208,9 @@ def _sweep(xy: np.ndarray, f: int, width: int, window) -> tuple[np.ndarray, ...]
     tables = (np.full((n, f), -1, dtype=np.int64), np.full((n, f), np.inf), np.zeros((n, f)))
     r_out = np.full(n, np.inf)
     wanted, todo = np.ones((n, f), dtype=bool), np.arange(n)
-    for m in (min(_PREFIX, n - 1), n - 1):  # the prefix pass, then the rescan
+    prefix = min(_PREFIX, n - 1)
+    passes = (prefix, n - 1) if prefix * width >= f else (n - 1,)
+    for m in passes:  # the prefix pass unless skipped, then the rescan
         step = max(1, _BLOCK // max(m * width, n - 1, 1))
         for lo in range(0, len(todo), step):
             rows = todo[lo : lo + step]

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -203,18 +204,16 @@ def _cmd_path(args) -> int:
                 raise ConfigError("--edge must be 'tail,head'") from None
             if not ty.has_edge(tail, head):
                 raise ConfigError(f"{tail}->{head} is not a trapezoidal-Yao edge")
-            candidates = [
-                (frame, a)
-                for frame, a in harvest_descent_configs(ty, edge=(tail, head))
-                if a == args.witness
-            ]
-            if not candidates:
+            configs = harvest_descent_configs(ty, edge=(tail, head))
+            first = next(((frame, a) for frame, a in configs if a == args.witness), None)
+            if first is None:
                 raise ConfigError(
                     f"no harvested descent placement for edge {args.edge} with witness {args.witness}"
                 )
-            frame, a = candidates[0]
+            frame, a = first
         else:
-            first = next(_iter_descent_configs(ty), None)  # stops at the first tail with one
+            # stops at the first tail with a configuration
+            first = next(chain.from_iterable(_iter_descent_configs(ty)), None)
             if first is None:
                 raise ConfigError("no descent configuration exists on this point set")
             frame, a = first

@@ -17,9 +17,10 @@ at zero, which yields the descent length bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -156,7 +157,9 @@ def _placement(ox: float, oy: float, p: Point) -> tuple[float, float, float, flo
     the far corner at ``p``: the scale |op|, the orientation of o->p, and its
     cosine and sine.  Scalar ``math`` on purpose: numpy's vectorized hypot and
     arctan2 differ from it in the last bit, which would move borderline
-    points across the witness conditions."""
+    points across the witness conditions.  The harvest (:func:`_harvest`)
+    makes the same ``math`` calls on the same floats for all its frames at
+    once."""
     s = math.hypot(p.x - ox, p.y - oy)
     if s <= 0.0:
         raise GeometryError("degenerate placement: p coincides with the apex")
@@ -324,11 +327,62 @@ def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
 # Relative slack on the harvest's pruning radius: far above the few ulps by
 # which the local map can misplace a point, far below any distance it prunes.
 _REACH_REL = 1e-6
+# Frames per bulk placement pass of the harvest: enough to amortize a pass,
+# few enough that a walk of the first configurations places few frames.
+_FRAME_BLOCK = 2048
 
 
-def harvest_descent_configs(
-    ty: ConeGraph, edge: tuple[int, int] | None = None
-) -> list[tuple[DescentFrame, int]]:
+class _FrameTable:
+    """The frames of a harvest, one row each: tail ``o``, far corner ``p``
+    and mirror flag.  A row's ``DescentFrame`` is built on first access and
+    then shared by every configuration of that frame."""
+
+    __slots__ = ("_o", "_px", "_py", "_reflected", "_built")
+
+    def __init__(self, o: np.ndarray, px: np.ndarray, py: np.ndarray, reflected: np.ndarray):
+        self._o, self._px, self._py, self._reflected = o, px, py, reflected
+        self._built: list[DescentFrame | None] = [None] * len(o)
+
+    def frame(self, row: int) -> DescentFrame:
+        built = self._built[row]
+        if built is None:
+            p = Point(self._px[row].item(), self._py[row].item())
+            built = DescentFrame(self._o[row].item(), p, self._reflected[row].item())
+            self._built[row] = built
+        return built
+
+
+class DescentConfigs(Sequence):
+    """Immutable sequence of harvested (DescentFrame, witness) configurations.
+
+    Stored as a frame table and, per configuration, two int64 arrays: the
+    row of its frame in that table and its witness.  ``len`` is O(1); an
+    index, a slice (which gives a list) or iteration builds the tuples on
+    access, and the configurations of one frame share one ``DescentFrame``.
+    """
+
+    __slots__ = ("_table", "_row", "_witness")
+
+    def __init__(self, table: _FrameTable, row: np.ndarray, witness: np.ndarray):
+        self._table, self._row, self._witness = table, row, witness
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._pairs(self._row[i], self._witness[i]))
+        return self._table.frame(int(self._row[i])), int(self._witness[i])
+
+    def __iter__(self) -> Iterator[tuple[DescentFrame, int]]:
+        return self._pairs(self._row, self._witness)
+
+    def _pairs(self, row: np.ndarray, witness: np.ndarray) -> Iterator[tuple[DescentFrame, int]]:
+        frame = self._table.frame
+        return ((frame(r), a) for r, a in zip(row.tolist(), witness.tolist()))
+
+
+def harvest_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) -> DescentConfigs:
     """Collect real (placement, witness) descent configurations from a built
     trapezoidal-Yao graph: for every edge and every frame that selected it,
     the placed trapezoid is empty by construction, and every point meeting
@@ -337,19 +391,43 @@ def harvest_descent_configs(
     Configurations come in edge order (tail, then head), then in each edge's
     frame order, then by witness index; the configurations of one frame share
     one ``DescentFrame``.  With ``edge`` given as (tail, head), only that
-    edge's frames are harvested.  Work runs per tail vertex: its frames'
-    placements are scalar, then one broadcast pass tests its frames against
-    the points near the tail.  ``_iter_descent_configs`` yields the same
-    sequence lazily, one tail at a time, for callers that walk only a prefix.
+    edge's frames are harvested.  The frames' placements are computed in bulk,
+    then one broadcast pass per tail vertex tests its frames against the
+    points near the tail.  ``_iter_descent_configs`` yields the same sequence
+    lazily, one tail at a time, for callers that walk only a prefix.
     """
-    return list(_iter_descent_configs(ty, edge))
+    table, chunks = _harvest(ty, edge)
+    rows, witnesses = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for row, witness in chunks:
+        rows.append(row)
+        witnesses.append(witness)
+    return DescentConfigs(table, np.concatenate(rows), np.concatenate(witnesses))
 
 
-def _iter_descent_configs(
-    ty: ConeGraph, edge: tuple[int, int] | None = None
-) -> Iterator[tuple[DescentFrame, int]]:
+def _iter_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) -> Iterator[DescentConfigs]:
     """The configurations of :func:`harvest_descent_configs`, in its order,
-    harvested one tail vertex at a time as they are consumed."""
+    as one chunk per tail vertex that has any, each harvested as it is
+    consumed."""
+    table, chunks = _harvest(ty, edge)
+    for row, witness in chunks:
+        yield DescentConfigs(table, row, witness)
+
+
+def _math_map(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar ``math`` function, see :func:`_placement`) applied
+    elementwise to float arrays, as a float array."""
+    return np.fromiter(map(fn, *(col.tolist() for col in columns)), float, len(columns[0]))
+
+
+def _harvest(
+    ty: ConeGraph, edge: tuple[int, int] | None
+) -> tuple[_FrameTable, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The frame table of a harvest and a generator of its configurations'
+    (frame row, witness) arrays, one pair per tail vertex that has any.
+
+    The generator fills the table's placements as it goes, in bulk passes
+    over the frames of at least ``_FRAME_BLOCK`` frames' worth of tails, so
+    a caller that stops after the first tails places only their frames."""
     if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_critical is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
     k = ty.k
@@ -360,28 +438,56 @@ def _iter_descent_configs(
         t, h = edge
         critical = np.zeros_like(critical)
         critical[t] = ty.ty_critical[t] & (ty.ty_head[t] == h)
-    for t in np.flatnonzero(critical.any(axis=1)).tolist():
-        ox, oy = xy[t].tolist()
-        fs = np.flatnonzero(critical[t])
-        heads = ty.ty_head[t, fs]
-        order = np.lexsort((fs, heads))  # edge order (by head), then frame order
-        frames: list[DescentFrame] = []
-        placements: list[tuple[float, ...]] = []
-        for (hx, hy), f in zip(xy[heads[order]].tolist(), fs[order].tolist()):
-            s = math.hypot(hx - ox, hy - oy)
-            orient = (f % k) * grid
-            p = Point(ox + s * math.cos(orient), oy + s * math.sin(orient))
-            frames.append(DescentFrame(t, p, f >= k))
-            placements.append((*_placement(ox, oy, p), -1.0 if f >= k else 1.0))
-        scale, _, c, sn, flip = np.array(placements).T[:, :, None]
-        dx = xy[:, 0] - ox
-        dy = xy[:, 1] - oy
-        # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
-        # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest point from
-        # o is p, so |oa| < |op|: only points within the tail's largest |op|
-        # can qualify for any of its frames.
-        reach = scale.max() * (1.0 + _REACH_REL)
-        near = np.flatnonzero(np.hypot(dx, dy) <= reach)
-        near = near[near != t]
-        rows, cols = np.nonzero(_is_witness(*_to_local(dx[near], dy[near], scale, c, sn, flip)))
-        yield from zip([frames[r] for r in rows.tolist()], near[cols].tolist())
+    tails, fs = np.nonzero(critical)
+    heads = ty.ty_head[tails, fs]
+    # edge order, then frame order: np.nonzero lists each tail's frames in
+    # order, and a stable sort keeps it
+    order = np.argsort(tails * ty.n + heads, kind="stable")
+    tails, fs, heads = tails[order], fs[order], heads[order]
+    cos_j = np.array([math.cos(j * grid) for j in range(k)])
+    sin_j = np.array([math.sin(j * grid) for j in range(k)])
+    px, py, scale, c, sn = (np.empty((len(tails), 1)) for _ in range(5))
+    flip = np.where(fs >= k, -1.0, 1.0)[:, None]
+    table = _FrameTable(tails, px[:, 0], py[:, 0], fs >= k)
+    bounds = np.flatnonzero(np.diff(tails, prepend=-1)).tolist() + [len(tails)]
+
+    def place(rows: slice) -> None:
+        # p lies on the frame's orientation at the head's distance; then the
+        # scalars of _placement(o, p), the same math calls on the same floats
+        ox, oy = xy[tails[rows]].T
+        s = _math_map(math.hypot, *(xy[heads[rows]] - xy[tails[rows]]).T)
+        px[rows, 0] = ox + s * cos_j[fs[rows] % k]
+        py[rows, 0] = oy + s * sin_j[fs[rows] % k]
+        dx, dy = px[rows, 0] - ox, py[rows, 0] - oy
+        scale[rows, 0] = _math_map(math.hypot, dx, dy)
+        if not np.all(scale[rows] > 0.0):
+            raise GeometryError("degenerate placement: p coincides with the apex")
+        orient = _math_map(math.atan2, dy, dx)
+        c[rows, 0] = _math_map(math.cos, orient)
+        sn[rows, 0] = _math_map(math.sin, orient)
+
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        placed = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi > placed:
+                # this tail's frames and the next tails', up to the first
+                # tail bound at least _FRAME_BLOCK frames on
+                end = bounds[min(bisect_left(bounds, lo + _FRAME_BLOCK), len(bounds) - 1)]
+                place(slice(lo, end))
+                placed = end
+            t = tails[lo]
+            adx = xy[:, 0] - xy[t, 0]
+            ady = xy[:, 1] - xy[t, 1]
+            # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
+            # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest point
+            # from o is p, so |oa| < |op|: only points within the tail's largest
+            # |op| can qualify for any of its frames.
+            reach = scale[lo:hi].max() * (1.0 + _REACH_REL)
+            near = np.flatnonzero(np.hypot(adx, ady) <= reach)
+            near = near[near != t]
+            local = _to_local(adx[near], ady[near], scale[lo:hi], c[lo:hi], sn[lo:hi], flip[lo:hi])
+            rows, cols = np.nonzero(_is_witness(*local))
+            if rows.size:
+                yield rows + lo, near[cols]
+
+    return table, chunks()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import (
     is_connected,
     degree_stats,
-    ratio_oracle,
+    sector_ratios,
     stretch_bound,
     stretch_factor,
     subgraph_check,
@@ -216,8 +216,8 @@ def check_stretch_bounds(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[C
 
 def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
     tol = cfg.tolerance
-    # harvest lazily: only the configs walked are built
-    configs = list(islice(_iter_descent_configs(graphs["ty"]), cfg.max_descent_configs))
+    # harvest lazily: only the tails of the configs walked are harvested
+    configs = list(islice(chain.from_iterable(_iter_descent_configs(graphs["ty"])), cfg.max_descent_configs))
     worst_dphi = -math.inf
     worst_slack = math.inf
     failures = []
@@ -306,23 +306,27 @@ def check_lhp_containment(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[
 def check_ratio_bound(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
     tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
-    u = Point(0.0, 0.0)
-    v = Point(1.0, 0.0)
     results = []
     for label, alpha in (("pi_12", math.pi / 12), ("pi_6", math.pi / 6), ("pi_4", math.pi / 4)):
         bound = 1.0 / (1.0 - 2.0 * math.sin(alpha / 2.0))
         beta = rng.uniform(-alpha, alpha, cfg.ratio_samples)
         rho = np.sqrt(1.0 - rng.random(cfg.ratio_samples))  # radius in (0, 1]
-        worst = 0.0
-        for b, r in zip(beta, rho):
-            w = Point(float(r * math.cos(b)), float(r * math.sin(b)))
-            worst = max(worst, ratio_oracle(u, v, w, 1.0))
+        wx, wy = rho * np.cos(beta), rho * np.sin(beta)
+        ratio, valid = sector_ratios(wx, wy)
+        invalid = np.flatnonzero(~valid)
+        worst = float(ratio[valid].max(initial=0.0))
         results.append(
             CheckResult(
                 f"ratio_bound_{label}",
-                worst <= bound * (1.0 + tol),
+                not invalid.size and worst <= bound * (1.0 + tol),
                 tol,
-                {"alpha": alpha, "bound": bound, "max_ratio": worst},
+                {
+                    "alpha": alpha,
+                    "bound": bound,
+                    "max_ratio": worst,
+                    # a sample outside the ratio's validity conditions
+                    "invalid_witness": [float(wx[invalid[0]]), float(wy[invalid[0]])] if invalid.size else None,
+                },
             )
         )
     return results

@@ -10,6 +10,7 @@ from conespan.analysis import (
     degree_stats,
     is_connected,
     ratio_oracle,
+    sector_ratios,
     stretch_factor,
     subgraph_check,
     t_bound,
@@ -322,3 +323,48 @@ class TestRatioOracle:
         vals = [ratio_oracle(self.U, self.V, w, 1.0) for w in ws]
         best = int(np.argmax(vals))
         assert best in (0, len(ts) - 1)
+
+
+class TestSectorRatios:
+    """The vectorized ratio of the ratio_bound suite against ratio_oracle."""
+
+    U = Point(0.0, 0.0)
+    V = Point(1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.pi / 12, math.pi / 6, math.pi / 4])
+    def test_max_equals_scalar_oracle(self, alpha):
+        # the samples check_ratio_bound draws, at its default count
+        rng = np.random.default_rng(3)
+        beta = rng.uniform(-alpha, alpha, 10_000)
+        rho = np.sqrt(1.0 - rng.random(10_000))
+        wx, wy = rho * np.cos(beta), rho * np.sin(beta)
+        ratio, valid = sector_ratios(wx, wy)
+        assert valid.all()
+        scalar = [ratio_oracle(self.U, self.V, Point(x, y), 1.0) for x, y in zip(wx.tolist(), wy.tolist())]
+        assert ratio.max() == pytest.approx(max(scalar), rel=1e-15, abs=0.0)
+        # elementwise, the two hypots may each differ by an ulp, and
+        # 1 - |vw| amplifies |vw|'s by |vw| / (1 - |vw|) <= 3.3: about 11 eps
+        assert np.allclose(ratio, scalar, rtol=12 * np.finfo(float).eps, atol=0.0)
+
+    def test_validity_mask_is_where_the_oracle_raises(self):
+        ws = [
+            (1.0, 0.0),  # w = v: no base angles
+            (0.5, 0.3),
+            (1e-9, 0.0),  # w next to u
+            (1e-300, 0.0),  # |vw| rounds to |uv|
+            (0.0, 0.9),  # |vw| >= |uv|
+            (1.0, 1.0),  # |vw| = |uv| exactly
+            (1.05, 0.1),  # obtuse at v
+            (-0.05, 0.1),  # obtuse at u
+            (0.0, 0.5),  # right angle at u
+            (0.99, -0.2),
+        ]
+        ratio, valid = sector_ratios(np.array([w[0] for w in ws]), np.array([w[1] for w in ws]))
+        for (x, y), r, ok in zip(ws, ratio.tolist(), valid.tolist()):
+            try:
+                expected = ratio_oracle(self.U, self.V, Point(x, y), 1.0)
+            except GeometryError:
+                assert not ok, (x, y)
+            else:
+                assert ok and r == pytest.approx(expected, rel=1e-15, abs=0.0), (x, y)
+        assert valid.tolist() == [True, True, True, False, False, False, False, False, False, True]

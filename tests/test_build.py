@@ -264,11 +264,11 @@ class TestTyPrunedSweep:
     scans' (tests/conftest.py) exactly.  Unlabelled k are trapezoidal-Yao."""
 
     # on uniform input Yao at k=8 settles most vertices from the prefix; at
-    # k=84, more cones than prefix points, every vertex rescans
+    # k=49 and k=84, more cones than prefix points, the prefix pass is skipped
     @pytest.mark.parametrize(
         "family,k",
-        [("ty", 26), ("ty", 30), ("ty", 84), ("yao", 8), ("yao", 30), ("yao", 84)],
-        ids=["26", "30", "84", "yao8", "yao30", "yao84"],
+        [("ty", 26), ("ty", 30), ("ty", 84), ("yao", 8), ("yao", 30), ("yao", 49), ("yao", 84)],
+        ids=["26", "30", "84", "yao8", "yao30", "yao49", "yao84"],
     )
     @pytest.mark.parametrize("name", list(PRUNED_SETS))
     def test_matches_dense_oracle(self, name, family, k):
@@ -276,6 +276,24 @@ class TestTyPrunedSweep:
         assert len(pts) - 1 > build._PREFIX
         builder, dense, assert_same = SWEPT[family]
         assert_same(builder(pts, k), dense(pts, k))
+
+    @pytest.mark.parametrize("k,prefix_pass", [(8, True), (48, True), (49, False), (84, False)])
+    def test_yao_skips_the_prefix_pass_when_cones_outnumber_it(self, k, prefix_pass):
+        # each prefix candidate lies in one cone, so 48 candidates leave one
+        # of k > 48 cones empty at every vertex, and every vertex would rescan
+        pts = PRUNED_SETS["uniform300"]()
+        sizes = []
+
+        def candidates(xy, rows, m):
+            sizes.append(m)
+            return candidates_of(xy, rows, m)
+
+        candidates_of = build._candidates
+        with patch.object(build, "_candidates", candidates):
+            got = build_yao(pts, k)
+        assert (build._PREFIX in sizes) is prefix_pass
+        assert set(sizes) <= {build._PREFIX, len(pts) - 1}
+        assert_same_yao(got, dense_build_yao(pts, k))
 
     @pytest.mark.parametrize("prefix", [8, build._PREFIX])
     @pytest.mark.parametrize("k", [26, 30, 84])

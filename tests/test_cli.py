@@ -233,6 +233,24 @@ class TestVerify:
         [check] = json.loads(rep.read_text())["checks"]
         assert check["passed"] and check["details"]["configs"] == 300
 
+    def test_ratio_bound_reports_samples_outside_the_ratios_domain(self, monkeypatch):
+        # a sample where ratio_oracle would raise fails its check with a witness
+        def with_invalid_sample(wx, wy):
+            ratio, valid = sector_ratios(wx, wy)
+            valid[7] = False
+            return ratio, valid
+
+        sector_ratios = verify.sector_ratios
+        cfg = RunConfig(k=30, ratio_samples=50)
+        passed = verify.check_ratio_bound(cfg, {})
+        assert all(c.passed and c.details["invalid_witness"] is None for c in passed)
+        monkeypatch.setattr(verify, "sector_ratios", with_invalid_sample)
+        failed = verify.check_ratio_bound(cfg, {})
+        assert not any(c.passed for c in failed)
+        for ok, bad in zip(passed, failed):
+            assert bad.details["invalid_witness"] is not None
+            assert bad.details["max_ratio"] <= ok.details["max_ratio"]
+
     def test_disconnected_graphs_give_strict_json_report(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("[]")

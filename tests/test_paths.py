@@ -1,17 +1,20 @@
 import math
 from dataclasses import replace
-from itertools import islice
+from itertools import chain, islice
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conespan import paths
 from conespan.analysis import tau_bound
 from conespan.build import build_oy, build_ty, build_yao
 from conespan.geometry import TWO_PI, GeometryError, Point, dist, theta
 from conespan.pointgen import GenKind, GenSpec, gen_points
 from conespan.paths import (
+    DescentConfigs,
     DescentFrame,
     InvariantViolation,
     StepKind,
@@ -324,6 +327,17 @@ class TestHarvest:
         assert configs
         assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
 
+    @pytest.mark.parametrize("block", [1, 7, 10**9])
+    @pytest.mark.parametrize("name", ["clustered", "cocircular"])
+    def test_placement_blocks_leave_the_harvest_unchanged(self, name, block):
+        # frames are placed in bulk passes over blocks of whole tails
+        ty = build_ty(HARVEST_SETS[name](), 30)
+        with patch.object(paths, "_FRAME_BLOCK", block):
+            configs = harvest_descent_configs(ty)
+            chunks = list(_iter_descent_configs(ty))
+        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+        assert _config_rows(chain.from_iterable(chunks)) == _config_rows(configs)
+
     @given(small_point_sets(), st.integers(-40, 40), st.sampled_from([26, 30, 84]))
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_matches_per_frame_oracle_on_any_scaled_input(self, pts, j, k):
@@ -363,8 +377,13 @@ class TestHarvest:
         configs = harvest_descent_configs(ty)
         assert len(configs) > 300
         for count in (0, 1, 300):
-            assert list(islice(_iter_descent_configs(ty), count)) == configs[:count]
-        assert list(_iter_descent_configs(ty)) == configs
+            assert list(islice(chain.from_iterable(_iter_descent_configs(ty)), count)) == configs[:count]
+        chunks = list(_iter_descent_configs(ty))
+        assert list(chain.from_iterable(chunks)) == list(configs)
+        # one chunk per tail vertex, in tail order
+        tails = [{frame.o for frame, _ in chunk} for chunk in chunks]
+        assert all(len(t) == 1 for t in tails)
+        assert [min(t) for t in tails] == sorted({frame.o for frame, _ in configs})
 
     def test_potential_suite_walks_the_harvest_prefix(self):
         # co-circular input harvests ~20k configs here; the suite walks 300
@@ -375,11 +394,41 @@ class TestHarvest:
 
     def test_configs_of_one_frame_share_one_descent_frame(self, setup):
         _, ty, _ = setup
+        configs = harvest_descent_configs(ty)
         objects: dict[tuple, set[int]] = {}
-        for frame, _ in harvest_descent_configs(ty):
+        # index, slice and iteration access all hand out the frame's one object
+        accessed = [configs[i] for i in range(len(configs))] + configs[::3] + list(configs)
+        for frame, _ in accessed:
             objects.setdefault((frame.o, frame.p, frame.reflected), set()).add(id(frame))
         assert len(objects) > 1
         assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_sequence_protocol(self, setup):
+        _, ty, _ = setup
+        configs = harvest_descent_configs(ty)
+        assert isinstance(configs, DescentConfigs)
+        rows = list(configs)
+        assert len(configs) == len(rows) > 100
+        assert configs[0] == rows[0] and configs[-1] == rows[-1] and configs[-7] == rows[-7]
+        frame, a = configs[len(rows) // 2]
+        assert type(frame) is DescentFrame and type(a) is int
+        assert type(frame.o) is int and type(frame.p.x) is float and type(frame.reflected) is bool
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                configs[i]
+        for part in (slice(None, 300), slice(5, 40, 3), slice(-20, None), slice(None, None, -4), slice(9, 2)):
+            assert configs[part] == rows[part]
+        assert list(reversed(configs)) == rows[::-1]
+        assert rows[3] in configs and configs.index(rows[3]) == 3
+        with pytest.raises(TypeError):
+            configs[0] = rows[1]
+
+    def test_empty_harvest(self):
+        # no witness: the two points are each other's only neighbour
+        ty = build_ty([Point(0.0, 0.0), Point(1.0, 0.0)], 30)
+        configs = harvest_descent_configs(ty)
+        assert len(configs) == 0 and not configs and list(configs) == [] and configs[:5] == []
+        assert list(_iter_descent_configs(ty)) == []
 
     def test_single_edge_harvest_is_that_edges_slice(self, setup):
         _, ty, _ = setup
