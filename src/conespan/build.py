@@ -133,7 +133,7 @@ def _from_choice(
     return ConeGraph(points, xy, choice.shape[1], family, edges, cone_choice=choice)
 
 
-# Nearest candidates per vertex that the pruned sweep scans before any rescan.
+# Nearest candidates per vertex that build_ty scans before any rescan.
 _PREFIX = 48
 # (vertex, candidate, frame) entries per vectorized pass; bounds temporaries to a few MB.
 _BLOCK = 1 << 16
@@ -185,50 +185,35 @@ def _winners(
     return head.reshape(b, f), best.reshape(b, f), r_head.reshape(b, f)
 
 
-def _sweep(xy: np.ndarray, f: int, width: int, window) -> tuple[np.ndarray, ...]:
-    """Each vertex's tie-broken winner of each of its ``f`` frames, as (n, f)
-    tables of winner index, score and distance (see :func:`_winners`).
+def _scan(xy: np.ndarray, m: int, width: int, window, wanted: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each vertex's tie-broken winner of each wanted frame among its ``m``
+    nearest other points (all of them when m >= n - 1), as (n, F) tables of
+    winner index, score and distance (see :func:`_winners`), and per vertex
+    the smallest distance left out (+inf where none is).  ``wanted`` is an
+    (n, F) mask, and only vertices with a wanted frame are scanned.
     ``window(phi)`` gives, for candidate angles, the ``width`` frames of
-    each candidate, which entries can win them and their score, which is
-    never below the candidate's distance.
-
-    Each vertex first scans its ``_PREFIX`` nearest candidates.  A frame
-    whose best score there is strictly below the distance of every
-    candidate left out is settled: no other point can win or tie it.
-    Vertices with unsettled frames (empty ones included, as on hull-heavy
-    inputs) rescan all their candidates for those frames only.  When the
-    prefix's candidates reach fewer than ``f`` frames in all
-    (``_PREFIX * width < f``), some frame of every vertex stays empty there,
-    so the prefix pass is skipped and every vertex scans all its candidates
-    at once.  Both passes
-    run over blocks of vertices holding about ``_BLOCK`` (vertex, candidate,
-    frame) entries each, and no more (vertex, candidate) pairs.
+    each candidate, which entries can win them and their score.  The scan
+    runs over blocks of vertices holding about ``_BLOCK`` (vertex,
+    candidate, frame) entries each, and no more (vertex, candidate) pairs.
     """
-    n = xy.shape[0]
+    n, f = wanted.shape
     tables = (np.full((n, f), -1, dtype=np.int64), np.full((n, f), np.inf), np.zeros((n, f)))
     r_out = np.full(n, np.inf)
-    wanted, todo = np.ones((n, f), dtype=bool), np.arange(n)
-    prefix = min(_PREFIX, n - 1)
-    passes = (prefix, n - 1) if prefix * width >= f else (n - 1,)
-    for m in passes:  # the prefix pass unless skipped, then the rescan
-        step = max(1, _BLOCK // max(m * width, n - 1, 1))
-        for lo in range(0, len(todo), step):
-            rows = todo[lo : lo + step]
-            cand, r, phi, r_out[rows] = _candidates(xy, rows, m)
-            got = _winners(cand, r, phi, *window(phi), wanted[rows])
-            for table, part in zip(tables, got):
-                table[rows] = np.where(wanted[rows], part, table[rows])
-        # settled: best score (tables[1]) below r_out, which every left-out
-        # candidate's score reaches; r_out is +inf where none was left out
-        wanted = ~(tables[1] < r_out[:, None]) & np.isfinite(r_out)[:, None]
-        todo = np.flatnonzero(wanted.any(axis=1))
-    return tables
+    todo = np.flatnonzero(wanted.any(axis=1))
+    step = max(1, _BLOCK // max(m * width, n - 1, 1))
+    for lo in range(0, len(todo), step):
+        rows = todo[lo : lo + step]
+        cand, r, phi, r_out[rows] = _candidates(xy, rows, m)
+        for table, part in zip(tables, _winners(cand, r, phi, *window(phi), wanted[rows])):
+            table[rows] = part
+    return (*tables, r_out)
 
 
 def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
     """Yao graph: per vertex and per cone of the uniform k-partition, keep the
     directed edge to the tie-broken nearest point inside the cone.  The cones
-    are the frames of :func:`_sweep`, and a candidate's score is its distance."""
+    are the frames of one :func:`_scan` over every other point, and a
+    candidate's score is its distance."""
     if k < 1:
         raise GeometryError(f"k must be >= 1, got {k}")
     xy = as_point_array(points)
@@ -236,7 +221,7 @@ def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
     def cone(phi: np.ndarray):
         return _cone_index_arr(k, phi)[..., None], True, lambda idx, r: r
 
-    choice, _, _ = _sweep(xy, k, 1, cone)
+    choice, _, _, _ = _scan(xy, xy.shape[0] - 1, 1, cone, np.ones((xy.shape[0], k), dtype=bool))
     return _from_choice(Family.YAO, tuple(points), xy, choice)
 
 
@@ -327,25 +312,39 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     mirror image, grow the placed curved trapezoid until it first hits a
     point; keep the edge only when the hit lies on the critical arc.
 
-    The frames (reflected * k + orientation index) are those of the pruned
-    sweep (:func:`_sweep`); a candidate's score is its first-contact
-    dilation (:func:`first_contact`), evaluated only at the ceil(k/4) + 3
-    orientations per mirror whose quarter-plane can hold it.  The graph
-    keeps the first-contact table (see :class:`ConeGraph`).
+    The frames (reflected * k + orientation index) are those of
+    :func:`_scan`; a candidate's score is its first-contact dilation
+    (:func:`first_contact`), evaluated only at the ceil(k/4) + 3
+    orientations per mirror whose quarter-plane can hold it.  Each vertex
+    first scans its ``_PREFIX`` nearest points.  A dilation is never below
+    the point's distance, so a frame whose best dilation there is strictly
+    below the distance of every point left out is settled: no other point
+    can win or tie it.  Vertices with unsettled frames (empty ones
+    included, as on hull-heavy inputs) rescan all their points for those
+    frames only.  The graph keeps the first-contact table (see
+    :class:`ConeGraph`).
     """
     th = theta(k)  # also enforces k > 24
     xy = as_point_array(points)
-    sin_th = np.sin(th)
+    n, sin_th = xy.shape[0], np.sin(th)
 
     def trapezoid(phi: np.ndarray):
         frame, alpha = _ty_window(phi, k)
         # only entries inside a frame's quarter-plane have a finite dilation
         return frame, alpha < HALF_PI, lambda idx, r: first_contact(alpha.ravel()[idx], r, sin_th)
 
-    head, lam, r_head = _sweep(xy, 2 * k, 2 * (-(-k // 4) + 3), trapezoid)
+    width = 2 * (-(-k // 4) + 3)
+    head, lam, r_head, r_out = _scan(
+        xy, min(_PREFIX, n - 1), width, trapezoid, np.ones((n, 2 * k), dtype=bool)
+    )
+    # settled: best dilation below r_out, which every left-out point's
+    # dilation reaches; r_out is +inf where no point was left out
+    unsettled = ~(lam < r_out[:, None]) & np.isfinite(r_out)[:, None]
+    for table, part in zip((head, lam, r_head), _scan(xy, n - 1, width, trapezoid, unsettled)):
+        np.copyto(table, part, where=unsettled)
     critical = on_critical_arc(lam, r_head)  # empty frames: +inf > 0
     tails, fs = np.nonzero(critical)
-    edges = edge_array(tails, head[tails, fs], xy.shape[0])
+    edges = edge_array(tails, head[tails, fs], n)
     return ConeGraph(
         tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical
     )

@@ -1,9 +1,9 @@
 """Point, edge, and report files.
 
 Points travel as CSV (one ``x,y`` row per point, header optional) or JSON
-(array of [x, y] pairs); edges as JSON records {tail, head, length}; reports
-as JSON objects.  Floats are written with shortest round-trip formatting, so
-write-then-read returns identical values.
+(array of [x, y] pairs of JSON numbers); edges as JSON records {tail, head,
+length}; reports as JSON objects.  Floats are written with shortest
+round-trip formatting, so write-then-read returns identical values.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ def read_points(path: str | Path, fmt: str | None = None) -> list[Point]:
         for i, row in enumerate(data):
             if not (isinstance(row, list) and len(row) == 2):
                 raise ParseError(f"{path}: entry {i} is not an [x, y] pair: {row!r}")
+            if not all(type(c) in (int, float) for c in row):
+                raise ParseError(f"{path}: entry {i} needs numeric x and y: {row!r}")
             points.append(_point(row[0], row[1], f"{path}: entry {i}"))
     return points
 
@@ -75,7 +77,7 @@ def _is_float(token: str) -> bool:
 def _point(x, y, where: str) -> Point:
     try:
         return Point(float(x), float(y))
-    except (TypeError, ValueError, GeometryError) as exc:
+    except (TypeError, ValueError, OverflowError, GeometryError) as exc:
         raise ParseError(f"{where}: bad coordinates: {exc}") from None
 
 

@@ -45,6 +45,9 @@ def gen_points(spec: GenSpec) -> list[Point]:
     distinct (colliding draws are regenerated from the same stream)."""
     if spec.n < 1:
         raise GeometryError(f"n must be >= 1, got {spec.n}")
+    for name in ("side", "pitch", "radius", "jitter", "spread"):
+        if not math.isfinite(getattr(spec, name)):
+            raise GeometryError(f"{name} must be finite, got {getattr(spec, name)}")
     kind = GenKind(spec.kind)
     rng = np.random.default_rng(spec.seed)
     if kind is GenKind.UNIFORM_SQUARE:

@@ -81,8 +81,8 @@ class RunConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.tolerance <= 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if require_family and self.family is None:
             raise ConfigError("a graph family is required (--family)")
         if self.family is not None:

@@ -258,17 +258,18 @@ PRUNED_SETS = {
 
 
 class TestTyPrunedSweep:
-    """build_yao and build_ty settle frames (cones, trapezoid frames) from
-    each vertex's nearest points and rescan the rest; the Yao selection
-    table and the trapezoidal-Yao first-contact table must equal the dense
-    scans' (tests/conftest.py) exactly.  Unlabelled k are trapezoidal-Yao."""
+    """build_ty settles trapezoid frames from each vertex's nearest points
+    and rescans the rest; build_yao scans every other point of each vertex
+    once.  The Yao selection table and the trapezoidal-Yao first-contact
+    table must equal the dense scans' (tests/conftest.py) exactly.
+    Unlabelled k are trapezoidal-Yao."""
 
-    # on uniform input Yao at k=8 settles most vertices from the prefix; at
-    # k=49 and k=84, more cones than prefix points, the prefix pass is skipped
+    # Yao's one pass at few cones (k=4, k=8) up to more cones than build_ty's
+    # prefix has points (k=49, k=84)
     @pytest.mark.parametrize(
         "family,k",
-        [("ty", 26), ("ty", 30), ("ty", 84), ("yao", 8), ("yao", 30), ("yao", 49), ("yao", 84)],
-        ids=["26", "30", "84", "yao8", "yao30", "yao49", "yao84"],
+        [("ty", 26), ("ty", 30), ("ty", 84), ("yao", 4), ("yao", 8), ("yao", 30), ("yao", 49), ("yao", 84)],
+        ids=["26", "30", "84", "yao4", "yao8", "yao30", "yao49", "yao84"],
     )
     @pytest.mark.parametrize("name", list(PRUNED_SETS))
     def test_matches_dense_oracle(self, name, family, k):
@@ -277,22 +278,21 @@ class TestTyPrunedSweep:
         builder, dense, assert_same = SWEPT[family]
         assert_same(builder(pts, k), dense(pts, k))
 
-    @pytest.mark.parametrize("k,prefix_pass", [(8, True), (48, True), (49, False), (84, False)])
-    def test_yao_skips_the_prefix_pass_when_cones_outnumber_it(self, k, prefix_pass):
-        # each prefix candidate lies in one cone, so 48 candidates leave one
-        # of k > 48 cones empty at every vertex, and every vertex would rescan
+    @pytest.mark.parametrize("k", [8, 48, 49, 84])
+    def test_yao_scans_every_candidate_once_per_vertex(self, k):
+        # no prefix pass at any k: each vertex asks for all n - 1 candidates once
         pts = PRUNED_SETS["uniform300"]()
-        sizes = []
+        calls = []
 
         def candidates(xy, rows, m):
-            sizes.append(m)
+            calls.append((rows.copy(), m))
             return candidates_of(xy, rows, m)
 
         candidates_of = build._candidates
         with patch.object(build, "_candidates", candidates):
             got = build_yao(pts, k)
-        assert (build._PREFIX in sizes) is prefix_pass
-        assert set(sizes) <= {build._PREFIX, len(pts) - 1}
+        assert {m for _, m in calls} == {len(pts) - 1}
+        assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in calls])), np.arange(len(pts)))
         assert_same_yao(got, dense_build_yao(pts, k))
 
     @pytest.mark.parametrize("prefix", [8, build._PREFIX])
@@ -315,7 +315,8 @@ class TestTyPrunedSweep:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_settle_and_rescan_match_dense_oracle(self, pts, j, prefix, block, family_k):
         # a prefix of 1 or 3 points splits even tiny sets into settled and
-        # rescanned frames; a block of 1 runs one vertex per pass
+        # rescanned trapezoid frames (Yao reads no prefix); a block of 1 runs
+        # one vertex per pass
         family, k = family_k
         builder, dense, assert_same = SWEPT[family]
         scaled = [Point(p.x * 2.0**j, p.y * 2.0**j) for p in pts]

@@ -40,6 +40,16 @@ class TestGen:
     def test_bad_kind_rejected(self, tmp_path):
         assert run("gen", "--kind", "nonsense", "--n", "4", "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("flag", ["--side", "--pitch", "--radius", "--jitter", "--spread"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_config_error(self, tmp_path, flag, value, capsys):
+        # --jitter nan wrote the --jitter 0 point set, and --side inf failed
+        # only after every redraw round with a misleading message
+        out = tmp_path / "x.csv"
+        assert run("gen", "--kind", "co_circular", "--n", "20", flag, value, "--out", str(out)) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuild:
     def test_build_and_edges_file(self, workspace):
@@ -53,6 +63,12 @@ class TestBuild:
         tmp_path, pts = workspace
         out = tmp_path / "ty.json"
         assert run("build", "--family", "ty", "--k", "20", "--in", str(pts), "--out", str(out)) == 2
+
+    def test_json_points_must_be_numbers(self, tmp_path, capsys):
+        pts = tmp_path / "pts.json"
+        pts.write_text('[[0, 0], [1, true], ["0.5", "0.25"], [0.2, 0.9]]')
+        assert run("build", "--family", "yao", "--k", "8", "--in", str(pts), "--out", str(tmp_path / "o.json")) == 3
+        assert "entry 1" in capsys.readouterr().err
 
     def test_missing_points_file_is_io_error(self, tmp_path):
         assert (
@@ -71,6 +87,14 @@ class TestStretch:
         assert payload["report"]["stretch"] >= 1.0
         assert payload["report"]["bound_satisfied"] is True
         assert payload["report"]["path_model"] == "undirected"
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_config_error(self, workspace, value, capsys):
+        # a nan tolerance failed every bound check and an inf one passed them all
+        _, pts = workspace
+        assert run("stretch", "--family", "oy", "--k", "30", "--in", str(pts), f"--tolerance={value}") == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
 class TestPath:
@@ -313,6 +337,16 @@ class TestVerify:
         monkeypatch.setattr(verify, "_get_graphs", lambda *_: pytest.fail("graphs built before validation"))
         assert run("verify", "--k", "30", "--in", str(pts), "--suite", "ratio_bound,sector_cover", flag, value) == 2
         assert flag[2:].replace("-", "_") + " must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_config_error(self, workspace, value, capsys, monkeypatch):
+        # with nan, stretch_oy_bound failed at stretch 1.38 against 21.9 while
+        # potential passed; with inf every tolerance-based check passed
+        _, pts = workspace
+        monkeypatch.setattr(verify, "_get_graphs", lambda *_: pytest.fail("graphs built before validation"))
+        argv = ("verify", "--k", "30", "--in", str(pts), "--suite", "stretch_bounds,potential", f"--tolerance={value}")
+        assert run(*argv) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
 
     def test_max_descent_configs_below_one_config_error(self):
         with pytest.raises(ConfigError, match="max_descent_configs must be >= 1"):

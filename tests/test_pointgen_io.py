@@ -61,6 +61,22 @@ class TestGenPoints:
         with pytest.raises(GeometryError):
             gen_points(spec)
 
+    @pytest.mark.parametrize(
+        "kind,field",
+        [
+            (GenKind.UNIFORM_SQUARE, "side"),
+            (GenKind.GRID, "pitch"),
+            (GenKind.CO_CIRCULAR, "radius"),
+            (GenKind.CO_CIRCULAR, "jitter"),
+            (GenKind.CLUSTERED, "spread"),
+            (GenKind.GRID, "jitter"),  # rejected even where the kind ignores it
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, kind, field, value):
+        with pytest.raises(GeometryError, match=f"{field} must be finite"):
+            gen_points(GenSpec(kind, 20, **{field: value}))
+
 
 class TestPointFiles:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -84,6 +100,28 @@ class TestPointFiles:
     def test_bad_json(self, tmp_path):
         path = tmp_path / "pts.json"
         path.write_text("[[0, 1], [2]]")
+        with pytest.raises(ParseError, match="entry 1"):
+            read_points(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[1, True], ["0.5", "0.25"], [None, 0], [[0], 1], [0, {"x": 1}]],
+        ids=["bool", "string", "null", "list", "object"],
+    )
+    def test_json_coordinates_must_be_numbers(self, tmp_path, row):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([[0, 0], row, [0.2, 0.9]]))
+        with pytest.raises(ParseError, match="entry 1"):
+            read_points(path)
+
+    def test_json_ints_and_floats_read_as_floats(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text("[[0, 1], [2.5, -3]]")
+        assert read_points(path) == [Point(0.0, 1.0), Point(2.5, -3.0)]
+
+    def test_json_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(f"[[0, 0], [1{'0' * 400}, 1]]")
         with pytest.raises(ParseError, match="entry 1"):
             read_points(path)
 
