@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .build import ConeGraph, as_point_array, edge_array, edge_lengths
+from .build import _BLOCK, ConeGraph, as_point_array, edge_array, edge_lengths
 from .geometry import EPS_REL, GeometryError, Point, dist
 
 
@@ -117,22 +117,29 @@ def _support_csr(graph: ConeGraph) -> csr_matrix:
 
 def stretch_factor(graph: ConeGraph, bound: float | None = None, tol: float = EPS_REL) -> SpannerReport:
     """Exact stretch factor: max over ordered pairs of graph distance divided
-    by Euclidean distance, with the attaining witness pair.  Disconnected
-    graphs report +inf stretch (flagged, not an error)."""
+    by Euclidean distance, with the attaining witness pair (the first in
+    row-major order).  Disconnected graphs report +inf stretch (flagged, not
+    an error).  Distances are computed for blocks of source rows of about
+    ``_BLOCK`` pairs each, so no n x n array is held."""
     n = graph.n
     if n < 2:
         raise GeometryError(f"stretch factor needs at least 2 points, got {n}")
     xy = graph.xy
-    gd = _sparse_dijkstra(_support_csr(graph), directed=True)
-    delta = xy[:, None, :] - xy[None, :, :]
-    euclid = np.hypot(delta[..., 0], delta[..., 1])
-    np.fill_diagonal(euclid, 1.0)  # diagonal masked below
-    ratio = gd / euclid
-    np.fill_diagonal(ratio, -np.inf)
-    flat = int(np.argmax(ratio))
-    witness = (flat // n, flat % n)
-    stretch = float(ratio[witness])
-    connected = bool(np.isfinite(gd).all())
+    support = _support_csr(graph)
+    stretch, witness, connected = -math.inf, None, True
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        ratio = _sparse_dijkstra(support, directed=True, indices=rows)
+        connected = connected and bool(np.isfinite(ratio).all())
+        euclid = np.hypot(xy[rows, 0, None] - xy[:, 0], xy[rows, 1, None] - xy[:, 1])
+        diagonal = (np.arange(len(rows)), rows)
+        euclid[diagonal] = 1.0  # diagonal masked below
+        np.divide(ratio, euclid, out=ratio)
+        ratio[diagonal] = -np.inf
+        flat = int(np.argmax(ratio))
+        if ratio.flat[flat] > stretch:  # strictly: an earlier block keeps its tie
+            stretch, witness = float(ratio.flat[flat]), (lo + flat // n, flat % n)
     max_degree, _ = degree_stats(graph)
     satisfied = None if bound is None else bool(stretch <= bound * (1.0 + tol))
     return SpannerReport(stretch, witness, max_degree, connected, bound, satisfied)

@@ -11,6 +11,7 @@ the Yao selection table, so one candidate scan serves all three.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import HALF_PI, TWO_PI, GeometryError, Point, _polar_arr, first_contact, on_critical_arc, theta
+from .geometry import HALF_PI, TWO_PI, GeometryError, Point, _dilation, _polar_arr, on_critical_arc, theta
 
 
 class Family(str, Enum):
@@ -114,13 +115,20 @@ def as_point_array(points: Sequence[Point]) -> np.ndarray:
     return xy
 
 
-def _cone_index_arr(k: int, phi: np.ndarray) -> np.ndarray:
-    """Vectorized counterpart of geometry.cone_index on normalized angles."""
-    w = TWO_PI / k
-    j = np.floor(phi / w).astype(np.int64)
-    np.clip(j, 0, k - 1, out=j)
-    j = np.where((j < k - 1) & (phi >= (j + 1) * w), j + 1, j)
-    j = np.where((j > 0) & (phi < j * w), j - 1, j)
+def _cone_index_arr(k: int, phi: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """Vectorized counterpart of geometry.cone_index on normalized angles:
+    floor(phi / (2pi/k)), moved by one where it disagrees with the grid
+    j * (2pi/k) itself.  The result and intermediates are arrays of ``ws``."""
+    ws = ws or _Workspace()
+    grid = np.arange(k + 1) * (TWO_PI / k)
+    grid[k] = np.inf  # the last cone has no upper bound below 2pi
+    t = ws("cone_t", phi.shape)
+    np.floor(np.divide(phi, TWO_PI / k, out=t), out=t)
+    j = ws("cone", phi.shape, np.int64)
+    np.copyto(j, np.minimum(t, k - 1, out=t), casting="unsafe")
+    past = ws("cone_mask", phi.shape, bool)
+    np.add(j, np.greater_equal(phi, np.take(grid[1:], j, out=t, mode="clip"), out=past), out=j)
+    np.subtract(j, np.less(phi, np.take(grid, j, out=t, mode="clip"), out=past), out=j)
     return j
 
 
@@ -135,45 +143,86 @@ def _from_choice(
 
 # Nearest candidates per vertex that build_ty scans before any rescan.
 _PREFIX = 48
-# (vertex, candidate, frame) entries per vectorized pass; bounds temporaries to a few MB.
+# (vertex, candidate, frame) entries per vectorized pass; bounds each array
+# of a _scan workspace to this many entries (more only for a single vertex).
 _BLOCK = 1 << 16
 
 
-def _candidates(xy: np.ndarray, rows: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+class _Workspace:
+    """Named scratch arrays of one :func:`_scan` call, shared by its blocks.
+
+    Each array is allocated at its first request, which comes from the
+    first and largest block, and later requests take views of its front,
+    so a scan touches fresh memory once rather than once per block.
+    Gathers into these arrays pass ``mode="clip"`` to ``np.take``: with
+    the default mode it stages ``out`` through a temporary copy.  Their
+    indices are in range, so nothing is clipped.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        a = self._arrays.get(name)
+        if a is None or a.size < size:
+            a = self._arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+
+def _candidates(xy: np.ndarray, rows: np.ndarray, m: int, ws: _Workspace) -> tuple[np.ndarray, ...]:
     """The ``m`` nearest other points of each vertex in ``rows`` (all when
-    m >= n - 1) as (len(rows), m) index, distance and polar-angle matrices,
-    and per row the smallest distance left out (+inf when none is)."""
-    col = np.arange(xy.shape[0] - 1)
-    cand = col + (col >= rows[:, None])  # every point but the row's own vertex
-    dx, dy = xy[cand, 0] - xy[rows, 0, None], xy[cand, 1] - xy[rows, 1, None]
-    r_out = np.full(len(rows), np.inf)
-    if m < cand.shape[1]:  # angles only for the points kept
-        r = np.hypot(dx, dy)
-        near = np.argpartition(r, m, axis=1)
+    m >= n - 1) as (len(rows), m) index, distance and polar-angle matrices
+    in ``ws``, and per row the smallest distance left out (+inf when none
+    is)."""
+    b, n1 = len(rows), xy.shape[0] - 1
+    col = np.arange(n1)
+    # every point but the row's own vertex
+    cand = np.add(col, np.greater_equal(col, rows[:, None], out=ws("cand_mask", (b, n1), bool)),
+                  out=ws("cand", (b, n1), np.int64))
+    dx, dy = ws("dx", (b, n1)), ws("dy", (b, n1))
+    for axis, d in enumerate((dx, dy)):
+        np.subtract(np.take(xy[:, axis], cand, out=d, mode="clip"), xy[rows, axis, None], out=d)
+    r_out = np.full(b, np.inf)
+    if m < n1:  # angles only for the points kept
+        r = np.hypot(dx, dy, out=ws("r_all", (b, n1)))
+        near = np.argpartition(r, m, axis=1)  # allocates: argpartition takes no out=
         r_out = np.take_along_axis(r, near[:, m : m + 1], axis=1)[:, 0]
-        cand, dx, dy = (np.take_along_axis(a, near[:, :m], axis=1) for a in (cand, dx, dy))
-    return (cand, *_polar_arr(dx, dy), r_out)
+        keep = near[:, :m] + (np.arange(b) * n1)[:, None]
+        cand, dx, dy = (
+            np.take(a, keep, out=ws(name, (b, m), a.dtype), mode="clip")
+            for a, name in ((cand, "cand_kept"), (dx, "dx_kept"), (dy, "dy_kept"))
+        )
+    r, phi = _polar_arr(dx, dy, out=(ws("r", (b, m)), ws("phi", (b, m)), ws("polar_mask", (b, m), bool)))
+    return cand, r, phi, r_out
 
 
 def _winners(
-    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, frame: np.ndarray, hit, score, wanted: np.ndarray
+    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, frame: np.ndarray, hit, score, wanted: np.ndarray,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, ...]:
     """Tie-broken winner of each wanted frame of b vertices among their
     candidate rows (see :func:`_candidates`); ``wanted`` is a (b, F) mask.
     ``frame`` holds, along a new last axis, the frames at which each
-    candidate is evaluated, and ``hit`` marks the entries that can win one;
-    ``score(idx, r)`` scores those flat entries ``idx`` at distances ``r``.
-    Returns (b, F) arrays: the winner's index (-1 where nothing is hit or
-    the frame is not wanted), its score (+inf there) and its distance."""
+    candidate is evaluated (it is overwritten with per-block frame keys),
+    and ``hit`` marks the entries that can win one; ``score(idx, r)``
+    scores those flat entries ``idx`` at distances ``r``.  Scratch arrays
+    come from ``ws``.  Returns (b, F) arrays: the winner's index (-1 where
+    nothing is hit or the frame is not wanted), its score (+inf there) and
+    its distance."""
     b, f = wanted.shape
-    key = frame + (np.arange(b) * f)[:, None, None]
-    idx = np.flatnonzero(hit & np.take(wanted, key))
-    key = key.ravel()[idx]
-    entry = idx // frame.shape[-1]
-    scores = score(idx, r.ravel()[entry])
+    size = frame.size
+    key = np.add(frame, (np.arange(b) * f)[:, None, None], out=frame)
+    live = np.take(wanted, key, out=ws("live", key.shape, bool), mode="clip")
+    idx = np.flatnonzero(np.logical_and(live, hit, out=live))
+    cnt = len(idx)
+    key = np.take(key, idx, out=ws("key", (size,), np.int64)[:cnt], mode="clip")
+    entry = np.floor_divide(idx, frame.shape[-1], out=ws("entry", (size,), np.int64)[:cnt])
+    scores = score(idx, np.take(r, entry, out=ws("r_entry", (size,))[:cnt], mode="clip"))
     best = np.full(b * f, np.inf)
     np.minimum.at(best, key, scores)
-    won = np.flatnonzero(scores == best[key])
+    best_at = np.take(best, key, out=ws("best_at", (size,))[:cnt], mode="clip")
+    won = np.flatnonzero(np.equal(scores, best_at, out=ws("tie", (size,), bool)[:cnt]))
     # a frame's tie-broken winner has the least score, then angle, then index
     won = won[np.lexsort((cand.ravel()[entry[won]], phi.ravel()[entry[won]], key[won]))]
     keys, first = np.unique(key[won], return_index=True)
@@ -191,20 +240,22 @@ def _scan(xy: np.ndarray, m: int, width: int, window, wanted: np.ndarray) -> tup
     winner index, score and distance (see :func:`_winners`), and per vertex
     the smallest distance left out (+inf where none is).  ``wanted`` is an
     (n, F) mask, and only vertices with a wanted frame are scanned.
-    ``window(phi)`` gives, for candidate angles, the ``width`` frames of
+    ``window(phi, ws)`` gives, for candidate angles, the ``width`` frames of
     each candidate, which entries can win them and their score.  The scan
     runs over blocks of vertices holding about ``_BLOCK`` (vertex,
     candidate, frame) entries each, and no more (vertex, candidate) pairs.
+    Every block works in one workspace, local to the call.
     """
     n, f = wanted.shape
     tables = (np.full((n, f), -1, dtype=np.int64), np.full((n, f), np.inf), np.zeros((n, f)))
     r_out = np.full(n, np.inf)
     todo = np.flatnonzero(wanted.any(axis=1))
     step = max(1, _BLOCK // max(m * width, n - 1, 1))
+    ws = _Workspace()
     for lo in range(0, len(todo), step):
         rows = todo[lo : lo + step]
-        cand, r, phi, r_out[rows] = _candidates(xy, rows, m)
-        for table, part in zip(tables, _winners(cand, r, phi, *window(phi), wanted[rows])):
+        cand, r, phi, r_out[rows] = _candidates(xy, rows, m, ws)
+        for table, part in zip(tables, _winners(cand, r, phi, *window(phi, ws), wanted[rows], ws)):
             table[rows] = part
     return (*tables, r_out)
 
@@ -218,8 +269,8 @@ def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
         raise GeometryError(f"k must be >= 1, got {k}")
     xy = as_point_array(points)
 
-    def cone(phi: np.ndarray):
-        return _cone_index_arr(k, phi)[..., None], True, lambda idx, r: r
+    def cone(phi: np.ndarray, ws: _Workspace):
+        return _cone_index_arr(k, phi, ws)[..., None], True, lambda idx, r: r
 
     choice, _, _, _ = _scan(xy, xy.shape[0] - 1, 1, cone, np.ones((xy.shape[0], k), dtype=bool))
     return _from_choice(Family.YAO, tuple(points), xy, choice)
@@ -281,30 +332,49 @@ def build_oy(points: Sequence[Point], k: int) -> ConeGraph:
     return derive_oy(yao)
 
 
-def _ty_window(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The frames (reflected * k + orientation index j) at which candidates
-    at polar angles ``phi`` are evaluated, along a new last axis, and each
-    candidate's angle ``alpha`` to each of those frames.
+def _ty_window_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window of each candidate cone c = floor(phi / (2pi/k)) in
+    [0, k] (the quotient can round up to k): (k + 1, 2(ceil(k/4) + 3))
+    tables of its frames (reflected * k + orientation index j) and of
+    their orientation angles psi_j = j * (2pi/k).
 
-    The window holds j from ceil(k/4) + 1 below floor(phi / (2pi/k)) up to
-    one above it unmirrored, and from one below it up to ceil(k/4) + 1 above
-    it mirrored.  Every other frame's quarter-plane misses the candidate, so
-    its dilation there is +inf.  ``alpha`` is phi - psi_j unmirrored and
-    psi_j - phi mirrored, reduced into [0, 2pi) exactly as np.mod reduces a
-    difference of two angles in [0, 2pi).
+    The window holds j from ceil(k/4) + 1 below c up to one above it
+    unmirrored, and from one below c up to ceil(k/4) + 1 above it mirrored.
+    Every other frame's quarter-plane misses the candidate, so its dilation
+    there is +inf.
     """
     q = -(-k // 4)
-    j = np.arange(-k, 2 * k) % k  # cyclic lookup, entered at an offset of k
-    frame_of = np.concatenate([j, j + k])
-    psi_of = np.tile(np.arange(k) * (TWO_PI / k), 6)
-    offsets = np.concatenate([np.arange(-q - 1, 2) + k, np.arange(-1, q + 2) + 4 * k])
-    at = np.floor(phi / (TWO_PI / k)).astype(np.intp)[..., None] + offsets
-    psi = np.take(psi_of, at)
-    diff = np.empty(at.shape)
-    np.subtract(phi[..., None], psi[..., : q + 3], out=diff[..., : q + 3])
-    np.subtract(psi[..., q + 3 :], phi[..., None], out=diff[..., q + 3 :])
+    offsets = np.concatenate([np.arange(-q - 1, 2), np.arange(-1, q + 2)])
+    j = (np.arange(k + 1)[:, None] + offsets) % k
+    return j + np.where(np.arange(len(offsets)) > q + 2, k, 0), j * (TWO_PI / k)
+
+
+def _ty_window(
+    phi: np.ndarray, table: tuple[np.ndarray, np.ndarray], ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frames at which candidates at polar angles ``phi`` are evaluated,
+    along a new last axis, and each candidate's angle ``alpha`` to each of
+    those frames, as arrays of ``ws``: one row of the
+    :func:`_ty_window_table` tables ``table`` per candidate.
+
+    ``alpha`` is phi - psi_j unmirrored and psi_j - phi mirrored, reduced
+    into [0, 2pi) exactly as np.mod reduces a difference of two angles in
+    [0, 2pi).
+    """
+    frame_of, psi_of = table
+    k, width = frame_of.shape[0] - 1, frame_of.shape[1]
+    shape = (*phi.shape, width)
+    t = ws("ty_t", phi.shape)
+    cone = ws("ty_cone", phi.shape, np.intp)
+    np.copyto(cone, np.floor(np.divide(phi, TWO_PI / k, out=t), out=t), casting="unsafe")
+    frame = np.take(frame_of, cone, axis=0, out=ws("ty_frame", shape, np.int64), mode="clip")
+    alpha = np.take(psi_of, cone, axis=0, out=ws("ty_alpha", shape), mode="clip")
+    h = width // 2
+    np.subtract(phi[..., None], alpha[..., :h], out=alpha[..., :h])
+    np.subtract(alpha[..., h:], phi[..., None], out=alpha[..., h:])
     # np.mod(diff, 2pi) for -2pi < diff < 2pi, diff != -0.0: one rounded addition
-    return np.take(frame_of, at), np.where(diff < 0.0, diff + TWO_PI, diff)
+    np.add(alpha, TWO_PI, out=alpha, where=np.less(alpha, 0.0, out=ws("ty_mask", shape, bool)))
+    return frame, alpha
 
 
 def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
@@ -314,7 +384,7 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
 
     The frames (reflected * k + orientation index) are those of
     :func:`_scan`; a candidate's score is its first-contact dilation
-    (:func:`first_contact`), evaluated only at the ceil(k/4) + 3
+    (geometry._dilation), evaluated only at the ceil(k/4) + 3
     orientations per mirror whose quarter-plane can hold it.  Each vertex
     first scans its ``_PREFIX`` nearest points.  A dilation is never below
     the point's distance, so a frame whose best dilation there is strictly
@@ -328,12 +398,20 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     xy = as_point_array(points)
     n, sin_th = xy.shape[0], np.sin(th)
 
-    def trapezoid(phi: np.ndarray):
-        frame, alpha = _ty_window(phi, k)
-        # only entries inside a frame's quarter-plane have a finite dilation
-        return frame, alpha < HALF_PI, lambda idx, r: first_contact(alpha.ravel()[idx], r, sin_th)
+    table = _ty_window_table(k)
 
-    width = 2 * (-(-k // 4) + 3)
+    def trapezoid(phi: np.ndarray, ws: _Workspace):
+        frame, alpha = _ty_window(phi, table, ws)
+        # only entries inside a frame's quarter-plane have a finite dilation
+        hit = np.less(alpha, HALF_PI, out=ws("ty_mask", alpha.shape, bool))
+
+        def score(idx: np.ndarray, r: np.ndarray) -> np.ndarray:
+            a = np.take(alpha, idx, out=ws("ty_hit_alpha", (alpha.size,))[: len(idx)], mode="clip")
+            return _dilation(a, r, sin_th, out=ws("ty_lam", (alpha.size,))[: len(idx)], scratch=a)
+
+        return frame, hit, score
+
+    width = table[0].shape[1]
     head, lam, r_head, r_out = _scan(
         xy, min(_PREFIX, n - 1), width, trapezoid, np.ones((n, 2 * k), dtype=bool)
     )

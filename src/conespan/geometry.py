@@ -60,16 +60,18 @@ def ccw_diff(a: float, b: float) -> float:
     return normalize_angle(a - b)
 
 
-def _polar_arr(dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polar_arr(dx: np.ndarray, dy: np.ndarray, out: tuple = (None, None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized lengths and polar angles in [0, 2pi) of the vectors (dx, dy).
 
     Like :func:`normalize_angle`, an angle that rounds up to 2pi (a tiny
     negative one) maps to 0, so every caller orders such directions alike.
+    ``out`` may hold (length, angle, bool scratch) arrays shaped like dx
+    that the results and the wrap mask are written into.
     """
-    r = np.hypot(dx, dy)
-    phi = np.arctan2(dy, dx)
+    r = np.hypot(dx, dy, out=out[0])
+    phi = np.arctan2(dy, dx, out=out[1])
     np.mod(phi, TWO_PI, out=phi)
-    phi[phi >= TWO_PI] = 0.0
+    np.copyto(phi, 0.0, where=np.greater_equal(phi, TWO_PI, out=out[2]))
     return r, phi
 
 
@@ -221,19 +223,19 @@ def on_critical_arc(lam, r):
     return lam <= r * (1.0 + EPS_REL)
 
 
-def first_contact(alpha: np.ndarray, r: np.ndarray, sin_th: float) -> np.ndarray:
-    """Vectorized first-contact dilation of a point at distance ``r`` and
-    local polar angle ``alpha`` from the apex of a trapezoid with cap angle
-    theta: r * max(1, sin(alpha)/sin(theta), 1/(2 cos(alpha))), the polar
-    form of the bound in :func:`scale_to_hit`.  +inf where alpha lies
-    outside [0, pi/2) or r == 0 (the apex itself is never hit).
-    """
-    valid = (alpha >= 0.0) & (alpha < HALF_PI) & (r > 0.0)
-    sina = np.sin(alpha, where=valid, out=np.zeros(valid.shape))
-    cosa = np.cos(alpha, where=valid, out=np.ones(valid.shape))
-    lam = r * np.maximum(1.0, np.maximum(sina / sin_th, 0.5 / cosa))
-    lam[~valid] = np.inf
-    return lam
+def _dilation(alpha: np.ndarray, r: np.ndarray, sin_th: float, out=None, scratch=None) -> np.ndarray:
+    """The first-contact dilation r * max(1, sin(alpha)/sin(theta),
+    1/(2 cos(alpha))) of points at distance r > 0 and local polar angle
+    alpha in [0, pi/2) from the apex of a trapezoid with cap angle theta:
+    the one array form of the bound in :func:`scale_to_hit`.  ``out`` and
+    ``scratch``, float arrays of the broadcast shape, take the result and
+    an intermediate in place of fresh arrays; ``scratch`` may be ``alpha``
+    itself."""
+    lam = np.divide(np.sin(alpha, out=out), sin_th, out=out)
+    tmp = np.divide(0.5, np.cos(alpha, out=scratch), out=scratch)
+    np.maximum(lam, tmp, out=lam)
+    np.maximum(1.0, lam, out=lam)
+    return np.multiply(r, lam, out=lam)
 
 
 def _in_trapezoid_arr(th: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .analysis import (
     stretch_factor,
     subgraph_check,
 )
-from .build import ConeGraph, Family, build_ty, build_yao, derive_oy, derive_yao_yao, edge_array
+from .build import FAMILIES, ConeGraph, Family, build_ty, build_yao, derive_oy, derive_yao_yao, edge_array
 from .fileio import read_edges, read_points, validate_edges
 from .geometry import (
     Point,
@@ -132,11 +132,17 @@ class CheckResult:
     details: dict
 
 
+# Key suffix under which _get_graphs keeps a loaded family's constructed graph.
+_BUILT = "_built"
+
+
 def _get_graphs(cfg: RunConfig, points: list[Point]) -> dict[str, ConeGraph]:
     """The four graphs by short name.  Yao is built once and Yao-Yao and
     overlapping-Yao are derived from it.  An edge file replaces a graph's
     edges, but its selection tables are always those rebuilt from the points,
-    so the path suites check loaded graphs against the reference selections."""
+    so the path suites check loaded graphs against the reference selections.
+    The constructed graph of each loaded family stays under ``name + _BUILT``
+    for the subgraph suite's comparison with the construction."""
     yao = build_yao(points, cfg.k)
     graphs = {
         "yao": yao,
@@ -146,10 +152,32 @@ def _get_graphs(cfg: RunConfig, points: list[Point]) -> dict[str, ConeGraph]:
     }
     for name, path in cfg.edge_files.items():
         edges, lengths = read_edges(path)
-        g = graphs[name]
+        g = graphs[name + _BUILT] = graphs[name]
         validate_edges(g.xy, edges, lengths)
         graphs[name] = replace(g, edges=edge_array(edges[:, 0], edges[:, 1], g.n))
     return graphs
+
+
+def _matches_construction(name: str, loaded: ConeGraph, built: ConeGraph) -> CheckResult:
+    """Whether a loaded edge set equals the one built from the points, with
+    the counts of missing and extra edges and up to five of each."""
+    n = built.n
+    got, ref = (g.edges[:, 0] * n + g.edges[:, 1] for g in (loaded, built))
+    missing, extra = (
+        np.column_stack(np.divmod(np.setdiff1d(a, b, assume_unique=True), n))
+        for a, b in ((ref, got), (got, ref))
+    )
+    return CheckResult(
+        f"matches_construction_{name}",
+        not (len(missing) or len(extra)),
+        0.0,
+        {
+            "missing": len(missing),
+            "extra": len(extra),
+            "missing_witnesses": missing[:5].tolist(),
+            "extra_witnesses": extra[:5].tolist(),
+        },
+    )
 
 
 def check_subgraph(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
@@ -167,6 +195,12 @@ def check_subgraph(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckRe
             ok_oy,
             0.0,
             {"violations": len(viol_oy), "witnesses": viol_oy[:5].tolist()},
+        ),
+        # each loaded edge file against the graph built from the points
+        *(
+            _matches_construction(name, graphs[name], graphs[name + _BUILT])
+            for name in FAMILIES
+            if name + _BUILT in graphs
         ),
     ]
 

@@ -25,7 +25,8 @@ from conespan.geometry import (
     gamma,
     normalize_angle,
     polar_angle,
-    first_contact,
+    HALF_PI,
+    _dilation,
     on_critical_arc,
     scale_to_hit,
     theta,
@@ -232,6 +233,18 @@ def oracle_all_pairs_dist(points: list[Point], pairs: set[tuple[int, int]]) -> n
                 if w[i, mid] + w[mid, j] < w[i, j]:
                     w[i, j] = w[i, mid] + w[mid, j]
     return w
+
+
+def first_contact(alpha: np.ndarray, r: np.ndarray, sin_th: float) -> np.ndarray:
+    """First-contact dilation (geometry._dilation) of points at distance
+    ``r`` and local polar angle ``alpha`` over the whole broadcast shape:
+    +inf where alpha lies outside [0, pi/2) or r == 0 (the apex itself is
+    never hit)."""
+    alpha, r = np.broadcast_arrays(alpha, r)
+    valid = (alpha >= 0.0) & (alpha < HALF_PI) & (r > 0.0)
+    lam = np.full(valid.shape, np.inf)
+    lam[valid] = _dilation(alpha[valid], r[valid], sin_th)
+    return lam
 
 
 def bisect_first_contact(th: float, x: float, y: float, iters: int = 100) -> float:

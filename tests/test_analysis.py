@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conespan import analysis
 from conespan.analysis import (
     BoundTable,
     _support_csr,
@@ -173,6 +174,29 @@ class TestStretchFactor:
     def test_needs_two_points(self):
         with pytest.raises(GeometryError):
             stretch_factor(graph_from([Point(0, 0)], []))
+
+    @pytest.mark.parametrize("block", [1, 7 * 36, 10**9], ids=["row", "partial", "one_block"])
+    def test_source_blocks_match_dense_ratio(self, block, monkeypatch):
+        # row blocks of any size give the dense n x n ratio's maximum and its
+        # first row-major witness, ties included (a unit grid has many) and
+        # disconnected graphs too
+        grid = [Point(float(i % 6), float(i // 6)) for i in range(36)]
+        graphs = [
+            build_yao_yao(grid, 8),
+            build_yao_yao(random_points(36, 2), 7),
+            graph_from(grid, [(i, i + 1) for i in range(0, 35, 2)]),
+        ]
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        for g in graphs:
+            gd = dijkstra(_support_csr(g))
+            euclid = np.hypot(*(g.xy[:, None, :] - g.xy[None, :, :]).T).T
+            np.fill_diagonal(euclid, 1.0)
+            ratio = gd / euclid
+            np.fill_diagonal(ratio, -np.inf)
+            flat = int(np.argmax(ratio))
+            rep = stretch_factor(g)
+            assert (rep.stretch, rep.witness) == (ratio.flat[flat], divmod(flat, g.n))
+            assert rep.connected == bool(np.isfinite(gd).all())
 
 
 class TestBruteForce:

@@ -1,5 +1,8 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import groupby
 from unittest.mock import patch
 
 import numpy as np
@@ -18,6 +21,7 @@ from conespan.build import (
     build_yao_yao,
     edge_array,
     _ty_window,
+    _ty_window_table,
 )
 from conespan.analysis import _undirected, subgraph_check
 from conespan.verify import RunConfig, _get_graphs
@@ -29,7 +33,6 @@ from conespan.geometry import (
     Point,
     TWO_PI,
     TrapezoidFrame,
-    first_contact,
     polar_angle,
     scale_to_hit,
     theta,
@@ -39,6 +42,7 @@ from conftest import (
     _candidate_polar,
     dense_build_ty,
     dense_build_yao,
+    first_contact,
     oracle_oy_pairs,
     oracle_ty_pairs,
     oracle_yao_pairs,
@@ -284,9 +288,9 @@ class TestTyPrunedSweep:
         pts = PRUNED_SETS["uniform300"]()
         calls = []
 
-        def candidates(xy, rows, m):
+        def candidates(xy, rows, m, ws):
             calls.append((rows.copy(), m))
-            return candidates_of(xy, rows, m)
+            return candidates_of(xy, rows, m, ws)
 
         candidates_of = build._candidates
         with patch.object(build, "_candidates", candidates):
@@ -309,20 +313,82 @@ class TestTyPrunedSweep:
         small_point_sets(),
         st.integers(-40, 40),
         st.sampled_from([1, 3]),
-        st.sampled_from([1, build._BLOCK]),
+        st.sampled_from([1, 200, build._BLOCK]),
         st.sampled_from([("ty", 26), ("ty", 30), ("ty", 84), ("yao", 5), ("yao", 8), ("yao", 30)]),
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_settle_and_rescan_match_dense_oracle(self, pts, j, prefix, block, family_k):
         # a prefix of 1 or 3 points splits even tiny sets into settled and
         # rescanned trapezoid frames (Yao reads no prefix); a block of 1 runs
-        # one vertex per pass
+        # one vertex per pass, and one of 200 entries mostly leaves a shorter
+        # last block working in the front of the workspace arrays
         family, k = family_k
         builder, dense, assert_same = SWEPT[family]
         scaled = [Point(p.x * 2.0**j, p.y * 2.0**j) for p in pts]
         with patch.object(build, "_PREFIX", prefix), patch.object(build, "_BLOCK", block):
             got = builder(scaled, k)
         assert_same(got, dense(scaled, k))
+
+
+class TestScanWorkspace:
+    """Each _scan call sizes its workspace by its first block and reuses it
+    for the rest; nothing of it outlives the call."""
+
+    def test_partial_blocks_and_successive_builds_match_dense_oracle(self):
+        # a large set, then a smaller one at another k, in one process and
+        # with a block size that leaves most scans a shorter last block
+        large, small = PRUNED_SETS["uniform300"](), PRUNED_SETS["cocircular60"]()
+        blocks = []
+
+        def candidates(xy, rows, m, ws):
+            blocks.append((m, len(rows)))
+            return candidates_of(xy, rows, m, ws)
+
+        candidates_of = build._candidates
+        partial = set()
+        with patch.object(build, "_BLOCK", 5 * 299 * 22), patch.object(build, "_candidates", candidates):
+            for pts, k in ((large, 30), (small, 84), (large, 84), (small, 26)):
+                for family in ("ty", "yao"):
+                    builder, dense, assert_same = SWEPT[family]
+                    blocks.clear()
+                    assert_same(builder(pts, k), dense(pts, k))
+                    # one run of blocks per scan: the first is the largest
+                    for _, run in groupby(blocks, key=lambda block: block[0]):
+                        sizes = [size for _, size in run]
+                        assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
+                        if sizes[-1] < sizes[0]:
+                            partial.add(family)
+        assert partial == {"ty", "yao"}
+
+    def test_concurrent_builds_match_one_at_a_time(self):
+        # no scan shares scratch memory with another: builds interleaved in
+        # threads (numpy releases the interpreter lock) give the same tables
+        jobs = [
+            ("ty", PRUNED_SETS["uniform300"](), 30),
+            ("yao", PRUNED_SETS["cocircular200_jitter"](), 30),
+            ("ty", PRUNED_SETS["clustered300"](), 84),
+            ("yao", PRUNED_SETS["grid20x20"](), 8),
+        ] * 2
+        expected = [SWEPT[family][0](pts, k) for family, pts, k in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(SWEPT[family][0], pts, k) for family, pts, k in jobs]
+                got = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (family, _, _), g, ref in zip(jobs, got, expected):
+            SWEPT[family][2](g, ref)
+
+    def test_workspace_views_share_their_first_allocation(self):
+        ws = build._Workspace()
+        first = ws("a", (4, 6))
+        later = ws("a", (3, 5))
+        assert np.shares_memory(first, later) and later.shape == (3, 5)
+        assert not np.shares_memory(first, ws("b", (4, 6)))
+        grown = ws("a", (5, 6))
+        assert grown.shape == (5, 6) and not np.shares_memory(first, grown)
 
 
 def assert_window_covers(phi: np.ndarray, r: np.ndarray, k: int) -> None:
@@ -334,7 +400,7 @@ def assert_window_covers(phi: np.ndarray, r: np.ndarray, k: int) -> None:
         [np.mod(phi[:, None] - psi[None, :], TWO_PI), np.mod(psi[None, :] - phi[:, None], TWO_PI)]
     )
     finite = np.isfinite(first_contact(dense_alpha, r[:, None], np.sin(theta(k))))
-    frame, alpha = _ty_window(phi, k)
+    frame, alpha = _ty_window(phi, _ty_window_table(k), build._Workspace())
     assert np.array_equal(alpha, np.take_along_axis(dense_alpha, frame, axis=1))
     in_window = np.zeros_like(finite)
     np.put_along_axis(in_window, frame, True, axis=1)

@@ -228,6 +228,61 @@ class TestVerify:
                    "--ratio-samples", "2000", "--edges-ty", str(ty_f))
         assert code == 0
 
+    def test_loaded_edges_with_extra_edges_fail_construction(self, tmp_path):
+        # build_ty's edges plus 70 edges 0 -> j with correct lengths passed
+        # every check: nothing compared a loaded file with the construction
+        ty_f = tmp_path / "ty.json"
+        assert run("build", "--family", "ty", "--k", "30", "--n", "80", "--seed", "1", "--out", str(ty_f)) == 0
+        records = json.loads(ty_f.read_text())
+        have = {(r["tail"], r["head"]) for r in records}
+        pts = RunConfig(n=80, seed=1).load_points()
+        added = [j for j in range(1, 80) if (0, j) not in have][:70]
+        assert len(added) == 70
+        records += [{"tail": 0, "head": j, "length": dist(pts[0], pts[j])} for j in added]
+        loaded = tmp_path / "ty_extra.json"
+        loaded.write_text(json.dumps(records))
+        rep = tmp_path / "rep.json"
+        code = run("verify", "--k", "30", "--n", "80", "--seed", "1", "--sector-samples", "20000",
+                   "--ratio-samples", "2000", "--edges-ty", str(loaded), "--out", str(rep))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["matches_construction_ty"]
+        details = checks["matches_construction_ty"]["details"]
+        assert (details["missing"], details["extra"]) == (0, 70)
+        assert details["missing_witnesses"] == []
+        assert details["extra_witnesses"] == [[0, j] for j in added[:5]]
+        assert [name for name in checks if name.startswith("matches_construction_")] == ["matches_construction_ty"]
+
+    def test_loaded_edges_compared_per_family(self, workspace):
+        # only the families given an edge file are compared: files written
+        # by build match their construction, and a Yao edge left out of the
+        # file (one Yao-Yao does not keep) is reported missing
+        tmp_path, pts = workspace
+        files = {}
+        for fam in ("yao", "yy", "oy"):
+            files[fam] = tmp_path / f"{fam}.json"
+            assert run("build", "--family", fam, "--k", "30", "--in", str(pts), "--out", str(files[fam])) == 0
+        rep = tmp_path / "rep.json"
+        edge_args = [arg for fam, f in files.items() for arg in (f"--edges-{fam}", str(f))]
+        code = run("verify", "--k", "30", "--in", str(pts), "--suite", "subgraph", "--out", str(rep), *edge_args)
+        assert code == 0
+        checks = [c for c in json.loads(rep.read_text())["checks"] if c["name"].startswith("matches_construction_")]
+        assert [c["name"] for c in checks] == [f"matches_construction_{fam}" for fam in files]
+        assert all(c["passed"] and c["details"]["missing"] == c["details"]["extra"] == 0 for c in checks)
+
+        yy = {(r["tail"], r["head"]) for r in json.loads(files["yy"].read_text())}
+        records = json.loads(files["yao"].read_text())
+        removed = next(r for r in records if (r["tail"], r["head"]) not in yy)
+        records.remove(removed)
+        files["yao"].write_text(json.dumps(records))
+        code = run("verify", "--k", "30", "--in", str(pts), "--suite", "subgraph", "--out", str(rep), *edge_args)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["matches_construction_yao"]
+        details = checks["matches_construction_yao"]["details"]
+        assert (details["missing"], details["extra"], details["extra_witnesses"]) == (1, 0, [])
+        assert details["missing_witnesses"] == [[removed["tail"], removed["head"]]]
+
     def test_gutted_oy_edges_fail_potential(self, workspace):
         tmp_path, pts = workspace
         gutted = tmp_path / "oy_gutted.json"

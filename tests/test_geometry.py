@@ -14,7 +14,7 @@ from conespan.geometry import (
     TrapezoidFrame,
     cone_index,
     covers_sector_check,
-    first_contact,
+    _dilation,
     gamma,
     lhp_containment_check,
     normalize_angle,
@@ -269,7 +269,7 @@ class TestFirstContact:
     @settings(max_examples=400, deadline=None)
     def test_dilation_never_below_distance(self, alpha, r, k):
         with np.errstate(over="ignore"):  # a dilation past the float range is +inf, still >= r
-            lam = first_contact(np.array([alpha]), np.array([r]), np.sin(theta(k)))
+            lam = _dilation(np.array([alpha]), np.array([r]), np.sin(theta(k)))
         assert lam[0] >= r
 
 
