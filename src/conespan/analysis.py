@@ -115,31 +115,131 @@ def _support_csr(graph: ConeGraph) -> csr_matrix:
     return csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(graph.n, graph.n))
 
 
+# Every _LANDMARK_GAP-th vertex is a landmark whose distances are computed in
+# full; each vertex's _LANDMARK_NEAR nearest landmarks (by graph distance)
+# bound its distances from above.
+_LANDMARK_GAP = 8
+_LANDMARK_NEAR = 3
+# Sources per limited Dijkstra call, taken in order of their limits.
+_SEARCH_ROWS = 16
+# Relative slack for rounding: Dijkstra's path sums add the same edges in
+# another order from another source, and the screening below divides by
+# Euclidean distances a few units in the last place from np.hypot's.
+_SLACK = 1e-9
+
+
+def _euclid_rows(xy: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each of ``rows`` to every point, exact as
+    np.hypot gives them, with 1 on the diagonal so that a ratio can be
+    divided out there and masked."""
+    euclid = np.hypot(xy[rows, 0, None] - xy[:, 0], xy[rows, 1, None] - xy[:, 1])
+    euclid[np.arange(len(rows)), rows] = 1.0
+    return euclid
+
+
+def _near_euclid_rows(xy: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_euclid_rows`` to within a few units in the last place, as the root
+    of a sum of squares (several times faster than np.hypot); rows whose
+    squares leave the normal range of floats fall back to np.hypot."""
+    dx = xy[rows, 0, None] - xy[:, 0]
+    dy = xy[rows, 1, None] - xy[:, 1]
+    with np.errstate(over="ignore"):  # checked below
+        dx *= dx
+        dy *= dy
+        dx += dy
+    dx[np.arange(len(rows)), rows] = 1.0
+    if not (dx.min() >= 1e-300 and dx.max() <= 1e300):
+        return _euclid_rows(xy, rows)
+    return np.sqrt(dx, out=dx)
+
+
+def _source_limits(support: csr_matrix, xy: np.ndarray, step: int) -> np.ndarray:
+    """Per source s, a graph distance within which lies every target t whose
+    ratio can reach the stretch of a connected graph.
+
+    The landmark rows are exact, so their largest ratio is a lower bound on
+    the stretch.  Through a landmark u, d(s, t) <= d(u, s) + d(u, t); a target
+    whose bound stays below that lower bound times |st| has a smaller ratio
+    and can neither be nor tie the maximum.  The limit of s is the largest
+    bound over its other targets; both comparisons carry ``_SLACK``."""
+    n = xy.shape[0]
+    marks = np.arange(0, n, _LANDMARK_GAP)
+    dist = _sparse_dijkstra(support, directed=True, indices=marks)
+    floor = -math.inf
+    for lo in range(0, len(marks), step):
+        rows = marks[lo : lo + step]
+        ratio = dist[lo : lo + step] / _near_euclid_rows(xy, rows)
+        ratio[np.arange(len(rows)), rows] = -np.inf
+        floor = max(floor, float(ratio.max()))
+    floor *= 1.0 - _SLACK
+    near = min(_LANDMARK_NEAR, len(marks))
+    limit = np.empty(n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        bound = via = None
+        for u in np.argpartition(dist[:, rows], near - 1, axis=0)[:near]:
+            via = np.take(dist, u, axis=0, out=via)
+            via += dist[u, rows, None]
+            bound = via.copy() if bound is None else np.minimum(bound, via, out=bound)
+        bound[np.arange(len(rows)), rows] = 0.0
+        wanted = bound >= floor * _near_euclid_rows(xy, rows)
+        limit[rows] = np.where(wanted, bound, 0.0).max(axis=1)
+    return limit * (1.0 + _SLACK)
+
+
+def _rows_max(support: csr_matrix, xy: np.ndarray, sources: np.ndarray, step: int):
+    """Largest exact ratio over the ascending ``sources`` rows and its first
+    row-major witness, from full searches in blocks of ``step`` rows."""
+    n = xy.shape[0]
+    stretch, witness = -math.inf, None
+    for lo in range(0, len(sources), step):
+        rows = sources[lo : lo + step]
+        ratio = _sparse_dijkstra(support, directed=True, indices=rows)
+        np.divide(ratio, _euclid_rows(xy, rows), out=ratio)
+        ratio[np.arange(len(rows)), rows] = -np.inf
+        flat = int(np.argmax(ratio))
+        if ratio.flat[flat] > stretch:  # strictly: an earlier block keeps its tie
+            stretch, witness = float(ratio.flat[flat]), (int(rows[flat // n]), flat % n)
+    return stretch, witness
+
+
 def stretch_factor(graph: ConeGraph, bound: float | None = None, tol: float = EPS_REL) -> SpannerReport:
     """Exact stretch factor: max over ordered pairs of graph distance divided
     by Euclidean distance, with the attaining witness pair (the first in
     row-major order).  Disconnected graphs report +inf stretch (flagged, not
-    an error).  Distances are computed for blocks of source rows of about
-    ``_BLOCK`` pairs each, so no n x n array is held."""
+    an error), witnessed by vertex 0 and the first vertex outside its
+    component.
+
+    In a connected graph each source is searched only as far as
+    ``_source_limits`` asks, and its ratios are screened against Euclidean
+    distances a few units in the last place off.  The rows whose screened
+    maximum comes within ``_SLACK`` of the largest are then searched in full
+    and divided by the exact distances, so the stretch and its witness are
+    bit for bit those of the full all-pairs ratio.  No n x n array is held:
+    the landmark rows hold about n * n / ``_LANDMARK_GAP`` distances, every
+    other array about ``_BLOCK``."""
     n = graph.n
     if n < 2:
         raise GeometryError(f"stretch factor needs at least 2 points, got {n}")
-    xy = graph.xy
     support = _support_csr(graph)
-    stretch, witness, connected = -math.inf, None, True
-    step = max(1, _BLOCK // n)
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        ratio = _sparse_dijkstra(support, directed=True, indices=rows)
-        connected = connected and bool(np.isfinite(ratio).all())
-        euclid = np.hypot(xy[rows, 0, None] - xy[:, 0], xy[rows, 1, None] - xy[:, 1])
-        diagonal = (np.arange(len(rows)), rows)
-        euclid[diagonal] = 1.0  # diagonal masked below
-        np.divide(ratio, euclid, out=ratio)
-        ratio[diagonal] = -np.inf
-        flat = int(np.argmax(ratio))
-        if ratio.flat[flat] > stretch:  # strictly: an earlier block keeps its tie
-            stretch, witness = float(ratio.flat[flat]), (lo + flat // n, flat % n)
+    parts, label = connected_components(support, directed=False)
+    if parts > 1:
+        stretch, witness, connected = math.inf, (0, int(np.argmax(label != label[0]))), False
+    else:
+        step = max(1, _BLOCK // n)
+        limit = _source_limits(support, graph.xy, step)
+        order = np.argsort(limit, kind="stable")
+        screened = np.empty(n)
+        for lo in range(0, n, _SEARCH_ROWS):
+            rows = order[lo : lo + _SEARCH_ROWS]
+            ratio = _sparse_dijkstra(support, directed=True, indices=rows, limit=float(limit[rows].max()))
+            ratio[np.isinf(ratio)] = -np.inf  # beyond the limit: below the maximum
+            ratio /= _near_euclid_rows(graph.xy, rows)
+            ratio[np.arange(len(rows)), rows] = -np.inf
+            screened[rows] = ratio.max(axis=1)
+        top = np.flatnonzero(screened >= screened.max() * (1.0 - _SLACK))
+        stretch, witness = _rows_max(support, graph.xy, top, step)
+        connected = True
     max_degree, _ = degree_stats(graph)
     satisfied = None if bound is None else bool(stretch <= bound * (1.0 + tol))
     return SpannerReport(stretch, witness, max_degree, connected, bound, satisfied)

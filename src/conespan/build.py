@@ -418,8 +418,8 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     # settled: best dilation below r_out, which every left-out point's
     # dilation reaches; r_out is +inf where no point was left out
     unsettled = ~(lam < r_out[:, None]) & np.isfinite(r_out)[:, None]
-    for table, part in zip((head, lam, r_head), _scan(xy, n - 1, width, trapezoid, unsettled)):
-        np.copyto(table, part, where=unsettled)
+    for merged, part in zip((head, lam, r_head), _scan(xy, n - 1, width, trapezoid, unsettled)):
+        np.copyto(merged, part, where=unsettled)
     critical = on_critical_arc(lam, r_head)  # empty frames: +inf > 0
     tails, fs = np.nonzero(critical)
     edges = edge_array(tails, head[tails, fs], n)

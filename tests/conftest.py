@@ -7,6 +7,7 @@ loop over points with the scalar geometry operations only.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -377,6 +378,18 @@ def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, frame: DescentFrame, a: in
         steps.append((StepKind.FINAL_OY_SUBPATH, sub.total_length / scale, None))
         vertices.extend(sub.vertices[1:])
     return tuple(vertices), steps
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Fail a test that leaves a child process behind, running or exited:
+    every process a test starts must have been reaped when the test ends."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped ({f'pid {pid}' if pid else 'still running'})")
 
 
 @pytest.fixture

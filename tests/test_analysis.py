@@ -177,14 +177,22 @@ class TestStretchFactor:
 
     @pytest.mark.parametrize("block", [1, 7 * 36, 10**9], ids=["row", "partial", "one_block"])
     def test_source_blocks_match_dense_ratio(self, block, monkeypatch):
-        # row blocks of any size give the dense n x n ratio's maximum and its
-        # first row-major witness, ties included (a unit grid has many) and
-        # disconnected graphs too
+        # row blocks of any size, with landmarks from every vertex to vertex 0
+        # alone, give the dense n x n ratio's maximum and its first row-major
+        # witness, ties included (a unit grid has many), disconnected graphs too
         grid = [Point(float(i % 6), float(i // 6)) for i in range(36)]
         graphs = [
             build_yao_yao(grid, 8),
             build_yao_yao(random_points(36, 2), 7),
             graph_from(grid, [(i, i + 1) for i in range(0, 35, 2)]),
+            build_yao_yao(random_points(96, 5), 8),
+            _late_witness_chain(90),
+            _tied_gadgets(90),
+            _isolated_last(80),
+            _rough_path(120),
+            # equal ratios up to rounding, ranked one way by np.hypot and
+            # another by the screening's distances
+            build_yao_yao([Point(0.1 * (i % 8) + 0.01, 0.1 * (i // 8) + 0.03) for i in range(64)], 7),
         ]
         monkeypatch.setattr(analysis, "_BLOCK", block)
         for g in graphs:
@@ -194,9 +202,111 @@ class TestStretchFactor:
             ratio = gd / euclid
             np.fill_diagonal(ratio, -np.inf)
             flat = int(np.argmax(ratio))
-            rep = stretch_factor(g)
+            reports = []
+            for gap, near in ((1, 3), (3, 3), (3, 1), (8, 3), (g.n, 3)):
+                monkeypatch.setattr(analysis, "_LANDMARK_GAP", gap)
+                monkeypatch.setattr(analysis, "_LANDMARK_NEAR", near)
+                reports.append(stretch_factor(g, bound=1.5))
+            rep = reports[0]
             assert (rep.stretch, rep.witness) == (ratio.flat[flat], divmod(flat, g.n))
             assert rep.connected == bool(np.isfinite(gd).all())
+            assert rep.max_degree == degree_stats(g)[0]
+            assert rep.bound_satisfied == bool(ratio.flat[flat] <= 1.5 * (1.0 + 1e-9))
+            # every field, bit for bit, whatever the landmarks
+            assert all(r == rep for r in reports)
+
+    def test_pruned_rows_keep_the_earliest_witness(self, monkeypatch):
+        # the witness lies in the last rows; an equal maximum in the first and
+        # last rows, where the first row's witness must win; and the inf of
+        # an isolated last vertex, witnessed from vertex 0
+        late, tied, isolated = _late_witness_chain(90), _tied_gadgets(90), _isolated_last(80)
+        for block in (2 * 90, analysis._BLOCK):
+            monkeypatch.setattr(analysis, "_BLOCK", block)
+            assert stretch_factor(late).witness == (80, 89)
+            rep = stretch_factor(tied)
+            assert (rep.stretch, rep.witness) == (3.0, (0, 3))
+            rep = stretch_factor(isolated)
+            assert rep.stretch == math.inf and rep.witness == (0, 79) and not rep.connected
+
+    def test_limits_leave_distant_targets_unsearched(self, monkeypatch):
+        # on a Yao-Yao graph the landmark bounds rule most pairs out: the
+        # limited searches reach under half of the n x n pairs, only the few
+        # rows holding the maximum are searched again in full, and the
+        # answer is still the full search's
+        g = build_yao_yao(random_points(300, 3), 8)
+        calls = []
+
+        def spy(graph, indices, **kw):
+            out = dijkstra(graph, indices=indices, **kw)
+            calls.append((kw.get("limit", math.inf), len(indices), int(np.isfinite(out).sum())))
+            return out
+
+        full = stretch_factor(g)
+        monkeypatch.setattr(analysis, "_sparse_dijkstra", spy)
+        assert stretch_factor(g) == full
+        (_, marks, _), *searches, (again, rows, _) = calls
+        assert marks == len(range(0, g.n, analysis._LANDMARK_GAP))
+        assert all(limit < math.inf for limit, _, _ in searches)
+        assert sum(rows for _, rows, _ in searches) == g.n
+        assert sum(reached for _, _, reached in searches) < g.n * g.n / 2
+        assert again == math.inf and 2 <= rows <= 4  # the witness row and its mirror
+
+    def test_screening_distances_are_within_rounding(self):
+        # the root of the sum of squares stays a few units in the last place
+        # from np.hypot, falling back to it where the squares would leave the
+        # normal range
+        for xy in (np.random.default_rng(1).random((50, 2)), np.array([[0.0, 0.0], [1e-160, 0.0], [3e-160, 1e-160]]),
+                   np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 3e200]])):
+            rows = np.arange(len(xy))
+            exact, near = analysis._euclid_rows(xy, rows), analysis._near_euclid_rows(xy, rows)
+            assert np.all(np.abs(near - exact) <= 4 * np.spacing(exact))
+
+    def test_limits_cover_every_rising_target(self):
+        # a landmark bound never stops a search short of a target whose
+        # ratio reaches the stretch
+        for g in (build_yao_yao(random_points(96, 5), 8), _rough_path(120), _late_witness_chain(90)):
+            support = _support_csr(g)
+            gd = dijkstra(support)
+            euclid = np.hypot(*(g.xy[:, None, :] - g.xy[None, :, :]).T).T
+            np.fill_diagonal(euclid, 1.0)
+            ratio = gd / euclid
+            np.fill_diagonal(ratio, -np.inf)
+            limit = analysis._source_limits(support, g.xy, max(1, analysis._BLOCK // g.n))
+            top = ratio >= ratio.max() * (1.0 - 1e-3)
+            assert (gd[top] <= np.broadcast_to(limit[:, None], gd.shape)[top]).all()
+
+
+def _late_witness_chain(n: int) -> ConeGraph:
+    """A chain along the x axis whose last vertex hangs back beside vertex
+    n - 10: the worst pair, (n - 10, n - 1), lies in the last rows."""
+    pts = [Point(float(i), 0.0) for i in range(n - 1)] + [Point(n - 9.5, 0.1)]
+    return graph_from(pts, [(i, i + 1) for i in range(n - 1)])
+
+
+def _tied_gadgets(n: int) -> ConeGraph:
+    """Two translated copies of an open unit square (ratio exactly 3 across
+    its open side), vertices 0-3 and n-4..n-1, joined by a straight chain."""
+    m = n - 7
+    square = [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    pts = [Point(x, y) for x, y in square]
+    pts += [Point(float(x), 0.0) for x in range(2, m + 1)]
+    pts += [Point(x + m + 1, y) for x, y in square]
+    pairs = [(0, 1), (1, 2), (2, 3), (2, 4)] + [(i, i + 1) for i in range(4, m + 2)]
+    pairs += [(m + 2, m + 4), (m + 3, m + 4), (m + 4, m + 5), (m + 5, m + 6)]
+    return graph_from(pts, pairs)
+
+
+def _isolated_last(n: int) -> ConeGraph:
+    """A Yao-Yao graph on n - 1 random points plus an isolated last vertex."""
+    g = build_yao_yao(random_points(n - 1, 4), 8)
+    return graph_from(list(g.points) + [Point(2.0, 2.0)], g.edges.tolist())
+
+
+def _rough_path(n: int) -> ConeGraph:
+    """A path through n random points taken in x order: its distances are
+    long sums of irrational lengths, rounded differently from either end."""
+    pts = sorted(random_points(n, 4), key=lambda p: p.x)
+    return graph_from(pts, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestBruteForce:

@@ -464,6 +464,34 @@ class TestDescentTable:
             tr = ty_descent_path(ty, oy, frame, a)
             assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
 
+    @staticmethod
+    def _bottom_ray_configs():
+        # exact co-circular n=60, k=30: witness 6 of tail 4 lies on its
+        # frame's bottom ray to within rounding (y_a = -8.9e-17)
+        pts = gen_points(GenSpec(GenKind.CO_CIRCULAR, 60, seed=0))
+        ty, oy = build_ty(pts, 30), build_oy(pts, 30)
+        configs = [(f, a) for f, a in harvest_descent_configs(ty) if (f.o, a) == (4, 6)]
+        return ty, oy, configs
+
+    def test_bottom_ray_config_is_harvested_and_walkable(self):
+        ty, oy, configs = self._bottom_ray_configs()
+        assert configs
+        for frame, a in configs:
+            tr = ty_descent_path(ty, oy, frame, a)
+            assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="bottom-ray witness: length 0.6691 > bound 0.6682, potential rise 0.785 "
+        "(59 of 4964 configs at this n and k); ROADMAP item 2 settles it",
+    )
+    def test_bottom_ray_witness_keeps_the_descent_bound(self):
+        ty, oy, configs = self._bottom_ray_configs()
+        for frame, a in configs:
+            tr = ty_descent_path(ty, oy, frame, a)
+            assert tr.total_length <= descent_length_bound(ty, frame, a) + TOL
+            assert all(s.phi_after <= s.phi_before + TOL for s in tr.steps)
+
     def test_witness_on_the_pi_6_edge_is_harvested_and_walkable(self):
         # phi(a->p) of witness 33 rounds to pi/6 from below in np.arctan2 and
         # onto it in math.atan2; harvest and descent must decide alike
