@@ -153,9 +153,10 @@ def _near_euclid_rows(xy: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _source_limits(support: csr_matrix, xy: np.ndarray, step: int) -> np.ndarray:
+def _source_limits(support: csr_matrix, xy: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Per source s, a graph distance within which lies every target t whose
-    ratio can reach the stretch of a connected graph.
+    ratio can reach the stretch of a connected graph, and per landmark row
+    (every ``_LANDMARK_GAP``-th vertex) its largest screened ratio.
 
     The landmark rows are exact, so their largest ratio is a lower bound on
     the stretch.  Through a landmark u, d(s, t) <= d(u, s) + d(u, t); a target
@@ -165,13 +166,13 @@ def _source_limits(support: csr_matrix, xy: np.ndarray, step: int) -> np.ndarray
     n = xy.shape[0]
     marks = np.arange(0, n, _LANDMARK_GAP)
     dist = _sparse_dijkstra(support, directed=True, indices=marks)
-    floor = -math.inf
+    peak = np.empty(len(marks))
     for lo in range(0, len(marks), step):
         rows = marks[lo : lo + step]
         ratio = dist[lo : lo + step] / _near_euclid_rows(xy, rows)
         ratio[np.arange(len(rows)), rows] = -np.inf
-        floor = max(floor, float(ratio.max()))
-    floor *= 1.0 - _SLACK
+        peak[lo : lo + step] = ratio.max(axis=1)
+    floor = float(peak.max()) * (1.0 - _SLACK)
     near = min(_LANDMARK_NEAR, len(marks))
     limit = np.empty(n)
     for lo in range(0, n, step):
@@ -184,7 +185,7 @@ def _source_limits(support: csr_matrix, xy: np.ndarray, step: int) -> np.ndarray
         bound[np.arange(len(rows)), rows] = 0.0
         wanted = bound >= floor * _near_euclid_rows(xy, rows)
         limit[rows] = np.where(wanted, bound, 0.0).max(axis=1)
-    return limit * (1.0 + _SLACK)
+    return limit * (1.0 + _SLACK), peak
 
 
 def _rows_max(support: csr_matrix, xy: np.ndarray, sources: np.ndarray, step: int):
@@ -210,14 +211,16 @@ def stretch_factor(graph: ConeGraph, bound: float | None = None, tol: float = EP
     an error), witnessed by vertex 0 and the first vertex outside its
     component.
 
-    In a connected graph each source is searched only as far as
-    ``_source_limits`` asks, and its ratios are screened against Euclidean
-    distances a few units in the last place off.  The rows whose screened
-    maximum comes within ``_SLACK`` of the largest are then searched in full
-    and divided by the exact distances, so the stretch and its witness are
-    bit for bit those of the full all-pairs ratio.  No n x n array is held:
-    the landmark rows hold about n * n / ``_LANDMARK_GAP`` distances, every
-    other array about ``_BLOCK``."""
+    In a connected graph each source other than a landmark is searched only
+    as far as ``_source_limits`` asks, and its ratios are screened against
+    Euclidean distances a few units in the last place off; the landmark
+    rows, searched in full there, keep their screened maxima from it.  The
+    rows whose screened maximum comes within ``_SLACK`` of the largest are
+    then searched in full and divided by the exact distances, so the
+    stretch and its witness are bit for bit those of the full all-pairs
+    ratio.  No n x n array is held: the landmark rows hold about
+    n * n / ``_LANDMARK_GAP`` distances, every other array about
+    ``_BLOCK``."""
     n = graph.n
     if n < 2:
         raise GeometryError(f"stretch factor needs at least 2 points, got {n}")
@@ -227,10 +230,12 @@ def stretch_factor(graph: ConeGraph, bound: float | None = None, tol: float = EP
         stretch, witness, connected = math.inf, (0, int(np.argmax(label != label[0]))), False
     else:
         step = max(1, _BLOCK // n)
-        limit = _source_limits(support, graph.xy, step)
-        order = np.argsort(limit, kind="stable")
+        limit, peak = _source_limits(support, graph.xy, step)
         screened = np.empty(n)
-        for lo in range(0, n, _SEARCH_ROWS):
+        screened[::_LANDMARK_GAP] = peak
+        order = np.argsort(limit, kind="stable")
+        order = order[order % _LANDMARK_GAP != 0]
+        for lo in range(0, len(order), _SEARCH_ROWS):
             rows = order[lo : lo + _SEARCH_ROWS]
             ratio = _sparse_dijkstra(support, directed=True, indices=rows, limit=float(limit[rows].max()))
             ratio[np.isinf(ratio)] = -np.inf  # beyond the limit: below the maximum
@@ -263,7 +268,7 @@ def subgraph_check(inner: ConeGraph, outer: ConeGraph) -> tuple[bool, np.ndarray
     """True iff every directed edge of ``inner`` appears in ``outer`` (same
     point sequence required); returns the violating (tail, head) rows, in
     sorted order, otherwise."""
-    if inner.points != outer.points:
+    if not np.array_equal(inner.xy, outer.xy):
         raise GeometryError("subgraph check requires identical point sequences")
     key = (inner.n, 1)  # (tail, head) -> tail * n + head
     missing = inner.edges[~np.isin(inner.edges @ key, outer.edges @ key)]

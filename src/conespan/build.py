@@ -35,7 +35,7 @@ class Family(str, Enum):
 class ConeGraph:
     """A point set plus the directed edges selected by one cone family.
 
-    ``xy`` holds the validated (n, 2) coordinates of ``points``.  ``edges`` is
+    ``xy`` holds the validated (n, 2) point coordinates.  ``edges`` is
     a duplicate-free (m, 2) int64 array of (tail, head) rows sorted
     lexicographically; edge lengths follow from the coordinates.  Arrays are
     immutable by convention.  ``cone_choice`` (for the Yao and
@@ -48,7 +48,6 @@ class ConeGraph:
     an edge.
     """
 
-    points: tuple[Point, ...]
     xy: np.ndarray = field(repr=False)
     k: int
     family: Family
@@ -60,7 +59,7 @@ class ConeGraph:
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.xy.shape[0]
 
     @property
     def lengths(self) -> np.ndarray:
@@ -132,13 +131,11 @@ def _cone_index_arr(k: int, phi: np.ndarray, ws: _Workspace | None = None) -> np
     return j
 
 
-def _from_choice(
-    family: Family, points: tuple[Point, ...], xy: np.ndarray, choice: np.ndarray
-) -> ConeGraph:
+def _from_choice(family: Family, xy: np.ndarray, choice: np.ndarray) -> ConeGraph:
     """The graph of a selection table: an edge i -> choice[i, j] per occupied cone."""
     tails, _ = np.nonzero(choice >= 0)
     edges = edge_array(tails, choice[choice >= 0], xy.shape[0])
-    return ConeGraph(points, xy, choice.shape[1], family, edges, cone_choice=choice)
+    return ConeGraph(xy, choice.shape[1], family, edges, cone_choice=choice)
 
 
 # Nearest candidates per vertex that build_ty scans before any rescan.
@@ -273,7 +270,7 @@ def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
         return _cone_index_arr(k, phi, ws)[..., None], True, lambda idx, r: r
 
     choice, _, _, _ = _scan(xy, xy.shape[0] - 1, 1, cone, np.ones((xy.shape[0], k), dtype=bool))
-    return _from_choice(Family.YAO, tuple(points), xy, choice)
+    return _from_choice(Family.YAO, xy, choice)
 
 
 def derive_yao_yao(yao: ConeGraph) -> ConeGraph:
@@ -287,7 +284,7 @@ def derive_yao_yao(yao: ConeGraph) -> ConeGraph:
     order = np.lexsort((tails, phi, r))
     _, first = np.unique((heads * k + _cone_index_arr(k, phi))[order], return_index=True)
     # a subset of a sorted duplicate-free edge array, kept in order, is one too
-    return ConeGraph(yao.points, yao.xy, k, Family.YAO_YAO, yao.edges[np.sort(order[first])])
+    return ConeGraph(yao.xy, k, Family.YAO_YAO, yao.edges[np.sort(order[first])])
 
 
 def build_yao_yao(points: Sequence[Point], k: int) -> ConeGraph:
@@ -318,7 +315,7 @@ def derive_oy(yao: ConeGraph) -> ConeGraph:
         np.minimum(best, np.roll(rank, -shift, axis=1), out=best)
     oy_choice = np.take_along_axis(ranked, best, axis=1)
     # identical selections across overlapping cones collapse in the edge set
-    return _from_choice(Family.OVERLAPPING_YAO, yao.points, yao.xy, oy_choice)
+    return _from_choice(Family.OVERLAPPING_YAO, yao.xy, oy_choice)
 
 
 def build_oy(points: Sequence[Point], k: int) -> ConeGraph:
@@ -423,9 +420,7 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     critical = on_critical_arc(lam, r_head)  # empty frames: +inf > 0
     tails, fs = np.nonzero(critical)
     edges = edge_array(tails, head[tails, fs], n)
-    return ConeGraph(
-        tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical
-    )
+    return ConeGraph(xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical)
 
 
 # CLI short name -> (family, builder)

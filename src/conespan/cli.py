@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
 
@@ -42,35 +42,34 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# Every run default lives in RunConfig; the parser reads it from here.
+_DEFAULTS = RunConfig()
+
+
 def _add_gen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", default="uniform_square", choices=[k.value for k in GenKind])
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--side", type=float, default=1.0)
-    p.add_argument("--pitch", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--clusters", type=int, default=5)
-    p.add_argument("--spread", type=float, default=0.05)
+    p.add_argument("--kind", default=_DEFAULTS.kind, choices=[k.value for k in GenKind])
+    p.add_argument("--n", type=int, default=_DEFAULTS.n)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--side", type=float, default=_DEFAULTS.side)
+    p.add_argument("--pitch", type=float, default=_DEFAULTS.pitch)
+    p.add_argument("--radius", type=float, default=_DEFAULTS.radius)
+    p.add_argument("--jitter", type=float, default=_DEFAULTS.jitter)
+    p.add_argument("--clusters", type=int, default=_DEFAULTS.clusters)
+    p.add_argument("--spread", type=float, default=_DEFAULTS.spread)
+
+
+def _suite_list(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The validated run config of the parsed fields.  The overlapping- and
+    trapezoidal-Yao families also need k > 24."""
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
+    cfg.validate()
     short = getattr(args, "family", None)
-    cfg = RunConfig(
-        family=FAMILIES[short][0].value if short else None,
-        k=getattr(args, "k", 30),
-        n=args.n,
-        seed=args.seed,
-        kind=args.kind,
-        side=args.side,
-        pitch=args.pitch,
-        radius=args.radius,
-        jitter=args.jitter,
-        clusters=args.clusters,
-        spread=args.spread,
-        input_path=getattr(args, "infile", None),
-        tolerance=getattr(args, "tolerance", 1e-9),
-    )
+    if short in ("oy", "ty") and cfg.k <= 24:
+        raise ConfigError(f"family {FAMILIES[short][0].value} requires k > 24, got k={cfg.k}")
     return cfg
 
 
@@ -87,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a cone graph family")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", default=None, help="points file (csv or json)")
+    p.add_argument("--in", dest="input_path", help="points file (csv or json)")
     _add_gen_args(p)
     p.add_argument("--out", required=True, help="edges file (json)")
     p.add_argument("--points-out", default=None, help="also write the point set")
@@ -96,15 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stretch", help="measure the exact stretch factor")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--in", dest="input_path")
     _add_gen_args(p)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=_DEFAULTS.tolerance)
     p.add_argument("--out", default=None, help="report file (json)")
 
     p = sub.add_parser("path", help="trace a constructive path")
     p.add_argument("--family", required=True, choices=["oy", "ty"])
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--in", dest="input_path")
     _add_gen_args(p)
     p.add_argument("--source", type=int, default=None, help="oy: start vertex")
     p.add_argument("--target", type=int, default=None, help="oy: target vertex")
@@ -113,13 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the property-check suites")
-    p.add_argument("--k", type=int, default=30)
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--k", type=int, default=_DEFAULTS.k)
+    p.add_argument("--in", dest="input_path")
     _add_gen_args(p)
-    p.add_argument("--suite", default="all", help="comma-separated suite names or 'all'")
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--sector-samples", type=int, default=100_000)
-    p.add_argument("--ratio-samples", type=int, default=10_000)
+    p.add_argument("--suite", dest="suites", type=_suite_list, default=_DEFAULTS.suites,
+                   help="comma-separated suite names or 'all'")
+    p.add_argument("--tolerance", type=float, default=_DEFAULTS.tolerance)
+    p.add_argument("--sector-samples", type=int, default=_DEFAULTS.sector_samples)
+    p.add_argument("--ratio-samples", type=int, default=_DEFAULTS.ratio_samples)
     p.add_argument("--edges-yao", default=None)
     p.add_argument("--edges-yy", default=None)
     p.add_argument("--edges-oy", default=None)
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="report file (json)")
 
     p = sub.add_parser("render", help="render points and edges to SVG")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--edges", default=None)
     p.add_argument("--witness", default=None, help="comma-separated vertex path to highlight")
     p.add_argument("--out", required=True)
@@ -136,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate()
     points = cfg.load_points()
     write_points(args.out, points, args.format)
     print(f"wrote {len(points)} points to {args.out}")
@@ -145,7 +144,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate(require_family=True)
     points = cfg.load_points()
     graph = FAMILIES[args.family][1](points, args.k)
     write_edges(args.out, graph.edges, graph.lengths)
@@ -157,7 +155,6 @@ def _cmd_build(args) -> int:
 
 def _cmd_stretch(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate(require_family=True)
     points = cfg.load_points()
     if len(points) > 2000:
         raise ConfigError(
@@ -184,7 +181,6 @@ def _cmd_stretch(args) -> int:
 
 def _cmd_path(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate(require_family=True)
     points = cfg.load_points()
     if args.family == "oy":
         if args.source is None or args.target is None:
@@ -244,9 +240,6 @@ def _cmd_path(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    cfg.suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-    cfg.sector_samples = args.sector_samples
-    cfg.ratio_samples = args.ratio_samples
     for fam in FAMILIES:
         path = getattr(args, f"edges_{fam}")
         if path:
@@ -261,7 +254,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    points = read_points(args.infile)
+    points = read_points(args.input_path)
     edges = []
     if args.edges:
         edges, lengths = read_edges(args.edges)

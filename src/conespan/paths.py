@@ -32,9 +32,7 @@ from .geometry import (
     GeometryError,
     Point,
     cone_index,
-    dist,
     normalize_angle,
-    polar_angle,
 )
 
 
@@ -104,26 +102,28 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
         raise GeometryError(f"vertex index out of range: u={u}, v={v}, n={n}")
     k = graph.k
     tau = tau_bound(k)
-    points = graph.points
-    target = points[v]
+    xy = graph.xy
+    vx, vy = xy[v].tolist()
 
     vertices = [u]
     steps: list[StepAudit] = []
     acc = 0.0
     cur = u
-    remaining = dist(points[cur], target)
+    cx, cy = xy[cur].tolist()
+    remaining = math.hypot(vx - cx, vy - cy)
     for _ in range(n):
         if cur == v:
             break
-        shifted = normalize_angle(polar_angle(points[cur], target) - math.pi / 4)
+        shifted = normalize_angle(normalize_angle(math.atan2(vy - cy, vx - cx)) - math.pi / 4)
         j = cone_index(k, shifted)
         head = int(graph.cone_choice[cur, j])
         if head < 0 or not graph.has_edge(cur, head):
             raise InvariantViolation(
                 f"expected an overlapping-Yao edge from {cur} in cone {j} toward {v}"
             )
-        hop = dist(points[cur], points[head])
-        new_remaining = dist(points[head], target)
+        hx, hy = xy[head].tolist()
+        hop = math.hypot(hx - cx, hy - cy)
+        new_remaining = math.hypot(vx - hx, vy - hy)
         if head != v and new_remaining >= remaining:
             raise InvariantViolation(
                 f"greedy hop {cur}->{head} did not approach target {v} "
@@ -134,7 +134,7 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
         phi_after = tau * new_remaining + acc
         steps.append(StepAudit(StepKind.OY_HOP, hop, phi_before, phi_after))
         vertices.append(head)
-        cur = head
+        cur, cx, cy = head, hx, hy
         remaining = new_remaining
     else:
         raise InvariantViolation(f"greedy path from {u} to {v} exceeded {n} hops")
@@ -209,7 +209,7 @@ def ty_descent_path(
         raise GeometryError("descent requires the trapezoidal-Yao first-contact table (ty_head)")
     if oy.family is not Family.OVERLAPPING_YAO:
         raise GeometryError(f"descent requires an overlapping-Yao graph, got {oy.family.value}")
-    if oy.k != ty.k or oy.points != ty.points:
+    if oy.k != ty.k or not np.array_equal(oy.xy, ty.xy):
         raise GeometryError("the two graphs must share the point set and parameter k")
     k = ty.k
     tau = tau_bound(k)

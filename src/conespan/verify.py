@@ -22,7 +22,7 @@ from .analysis import (
     stretch_factor,
     subgraph_check,
 )
-from .build import FAMILIES, ConeGraph, Family, build_ty, build_yao, derive_oy, derive_yao_yao, edge_array
+from .build import FAMILIES, ConeGraph, build_ty, build_yao, derive_oy, derive_yao_yao, edge_array
 from .fileio import read_edges, read_points, validate_edges
 from .geometry import (
     Point,
@@ -53,11 +53,10 @@ SUITES = (
 
 @dataclass
 class RunConfig:
-    """Shared configuration for CLI runs: graph family and parameter, point
-    source (generator spec or input file), suite toggles, sample counts, and
-    tolerance overrides."""
+    """Shared configuration for CLI runs, and the one home of their
+    defaults: cone parameter, point source (generator spec or input file),
+    suite toggles, sample counts, and tolerance overrides."""
 
-    family: str | None = None
     k: int = 30
     n: int = 100
     seed: int = 1
@@ -76,22 +75,13 @@ class RunConfig:
     max_descent_configs: int = 300
     edge_files: dict[str, str] = field(default_factory=dict)
 
-    def validate(self, require_family: bool = False) -> None:
+    def validate(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if require_family and self.family is None:
-            raise ConfigError("a graph family is required (--family)")
-        if self.family is not None:
-            try:
-                fam = Family(self.family)
-            except ValueError:
-                raise ConfigError(f"unknown family {self.family!r}") from None
-            if fam in (Family.OVERLAPPING_YAO, Family.TRAPEZOIDAL_YAO) and self.k <= 24:
-                raise ConfigError(f"family {fam.value} requires k > 24, got k={self.k}")
         if not self.suites:
             raise ConfigError(f"no suite selected (choose from {SUITES} or 'all')")
         unknown = [s for s in self.suites if s != "all" and s not in SUITES]
@@ -161,12 +151,8 @@ def _get_graphs(cfg: RunConfig, points: list[Point]) -> dict[str, ConeGraph]:
 def _matches_construction(name: str, loaded: ConeGraph, built: ConeGraph) -> CheckResult:
     """Whether a loaded edge set equals the one built from the points, with
     the counts of missing and extra edges and up to five of each."""
-    n = built.n
-    got, ref = (g.edges[:, 0] * n + g.edges[:, 1] for g in (loaded, built))
-    missing, extra = (
-        np.column_stack(np.divmod(np.setdiff1d(a, b, assume_unique=True), n))
-        for a, b in ((ref, got), (got, ref))
-    )
+    _, missing = subgraph_check(built, loaded)
+    _, extra = subgraph_check(loaded, built)
     return CheckResult(
         f"matches_construction_{name}",
         not (len(missing) or len(extra)),

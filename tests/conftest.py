@@ -156,7 +156,7 @@ def dense_build_yao(points: list[Point], k: int) -> ConeGraph:
         order = np.lexsort((cand, phi, r))
         cones, first = np.unique(_cone_index_arr(k, phi)[order], return_index=True)
         choice[i, cones] = cand[order[first]]
-    return _from_choice(Family.YAO, tuple(points), xy, choice)
+    return _from_choice(Family.YAO, xy, choice)
 
 
 def dense_build_ty(points: list[Point], k: int) -> ConeGraph:
@@ -192,9 +192,7 @@ def dense_build_ty(points: list[Point], k: int) -> ConeGraph:
             critical[i, cols] = on_critical_arc(best, r[rows])
     tails, fs = np.nonzero(critical)
     edges = edge_array(tails, head[tails, fs], n)
-    return ConeGraph(
-        tuple(points), xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical
-    )
+    return ConeGraph(xy, k, Family.TRAPEZOIDAL_YAO, edges, ty_head=head, ty_lam=lam, ty_critical=critical)
 
 
 def trapezoid_contains(th: float, x: float, y: float, scale: float = 1.0, closed: bool = False) -> bool:

@@ -43,7 +43,7 @@ T_ASYMPTOTE = 6.0273394921258481045  # sqrt(2) * (1 - 2 sin(pi/8))^-1
 def graph_from(points, pair_list, k=8, family=Family.YAO) -> ConeGraph:
     pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 2)
     edges = edge_array(pairs[:, 0], pairs[:, 1], len(points))
-    return ConeGraph(tuple(points), as_point_array(points), k, family, edges)
+    return ConeGraph(as_point_array(points), k, family, edges)
 
 
 def support_dist(graph: ConeGraph, source: int) -> np.ndarray:
@@ -230,9 +230,9 @@ class TestStretchFactor:
 
     def test_limits_leave_distant_targets_unsearched(self, monkeypatch):
         # on a Yao-Yao graph the landmark bounds rule most pairs out: the
-        # limited searches reach under half of the n x n pairs, only the few
-        # rows holding the maximum are searched again in full, and the
-        # answer is still the full search's
+        # limited searches of the rows other than landmarks reach under half
+        # of the n x n pairs, only the few rows holding the maximum are
+        # searched again in full, and the answer is still the full search's
         g = build_yao_yao(random_points(300, 3), 8)
         calls = []
 
@@ -247,9 +247,27 @@ class TestStretchFactor:
         (_, marks, _), *searches, (again, rows, _) = calls
         assert marks == len(range(0, g.n, analysis._LANDMARK_GAP))
         assert all(limit < math.inf for limit, _, _ in searches)
-        assert sum(rows for _, rows, _ in searches) == g.n
+        assert sum(rows for _, rows, _ in searches) == g.n - marks
         assert sum(reached for _, _, reached in searches) < g.n * g.n / 2
         assert again == math.inf and 2 <= rows <= 4  # the witness row and its mirror
+
+    def test_landmark_rows_are_not_searched_again(self, monkeypatch):
+        # the landmark rows' full searches also screen them, so the limited
+        # searches cover exactly the other n - ceil(n / 8) rows, once each
+        for g in (build_yao_yao(random_points(203, 6), 8), _rough_path(77), _late_witness_chain(90)):
+            limited = []
+
+            def spy(graph, indices, **kw):
+                if "limit" in kw:
+                    limited.extend(np.atleast_1d(indices).tolist())
+                return dijkstra(graph, indices=indices, **kw)
+
+            full = stretch_factor(g)
+            monkeypatch.setattr(analysis, "_sparse_dijkstra", spy)
+            assert stretch_factor(g) == full
+            monkeypatch.undo()
+            assert len(limited) == g.n - -(-g.n // 8)
+            assert sorted(limited) == [v for v in range(g.n) if v % analysis._LANDMARK_GAP]
 
     def test_screening_distances_are_within_rounding(self):
         # the root of the sum of squares stays a few units in the last place
@@ -271,7 +289,7 @@ class TestStretchFactor:
             np.fill_diagonal(euclid, 1.0)
             ratio = gd / euclid
             np.fill_diagonal(ratio, -np.inf)
-            limit = analysis._source_limits(support, g.xy, max(1, analysis._BLOCK // g.n))
+            limit, _ = analysis._source_limits(support, g.xy, max(1, analysis._BLOCK // g.n))
             top = ratio >= ratio.max() * (1.0 - 1e-3)
             assert (gd[top] <= np.broadcast_to(limit[:, None], gd.shape)[top]).all()
 
@@ -298,8 +316,8 @@ def _tied_gadgets(n: int) -> ConeGraph:
 
 def _isolated_last(n: int) -> ConeGraph:
     """A Yao-Yao graph on n - 1 random points plus an isolated last vertex."""
-    g = build_yao_yao(random_points(n - 1, 4), 8)
-    return graph_from(list(g.points) + [Point(2.0, 2.0)], g.edges.tolist())
+    pts = random_points(n - 1, 4)
+    return graph_from(pts + [Point(2.0, 2.0)], build_yao_yao(pts, 8).edges.tolist())
 
 
 def _rough_path(n: int) -> ConeGraph:

@@ -5,7 +5,7 @@ import pytest
 
 from conespan import verify
 from conespan.build import build_oy, build_ty
-from conespan.cli import main
+from conespan.cli import _build_parser, _config_from_args, main
 from conespan.fileio import read_points
 from conespan.geometry import TWO_PI, Point, dist
 from conespan.paths import InvariantViolation, ty_descent_path
@@ -438,6 +438,31 @@ class TestRender:
         assert run("render", "--in", str(pts), "--edges", str(edges), "--out", str(out)) == 3
         assert "invalid endpoints" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "stretch", "path"])
+def test_oy_small_k_is_config_error(workspace, command, capsys):
+    # the family rule is checked before any point is read or graph built
+    tmp_path, pts = workspace
+    out = tmp_path / "out.json"
+    assert run(command, "--family", "oy", "--k", "20", "--in", str(pts), "--out", str(out)) == 2
+    assert "family overlapping_yao requires k > 24, got k=20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--out", "pts.csv"],
+        ["build", "--family", "yao", "--k", "30", "--out", "e.json"],
+        ["stretch", "--family", "ty", "--k", "30"],
+        ["path", "--family", "oy", "--k", "30"],
+        ["verify"],
+    ],
+)
+def test_parser_defaults_are_run_config_defaults(argv):
+    # every default a subcommand leaves unset is RunConfig's own
+    assert _config_from_args(_build_parser().parse_args(argv)) == RunConfig()
 
 
 def test_version_flag(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespan import paths
-from conespan.analysis import tau_bound
+from conespan.analysis import subgraph_check, tau_bound
 from conespan.build import build_oy, build_ty, build_yao
 from conespan.geometry import TWO_PI, GeometryError, Point, dist, theta
 from conespan.pointgen import GenKind, GenSpec, gen_points
@@ -145,6 +145,31 @@ def setup():
     pts = random_points(60, 7)
     k = 30
     return pts, build_ty(pts, k), build_oy(pts, k)
+
+
+class TestSharedPointSet:
+    """Graphs share a point set when their coordinates are equal, whichever
+    Point objects they were built from."""
+
+    def test_equal_points_accepted_and_moved_points_rejected(self):
+        pts = random_points(60, 7)
+        fresh = [Point(p.x, p.y) for p in pts]
+        assert fresh == pts and all(a is not b for a, b in zip(fresh, pts))
+        # one coordinate one ulp off, and the same points in another order
+        moved = [Point(np.nextafter(pts[0].x, 2.0).item(), pts[0].y)] + pts[1:]
+        ty, oy = build_ty(pts, 30), build_oy(pts, 30)
+        oy_fresh = build_oy(fresh, 30)
+        assert subgraph_check(oy_fresh, ty)[0]
+        frame, a = harvest_descent_configs(ty)[0]
+        assert ty_descent_path(ty, oy_fresh, frame, a) == ty_descent_path(ty, oy, frame, a)
+        for u, v in ((0, 59), (17, 3), (42, 8)):
+            assert oy_greedy_path(oy_fresh, u, v) == oy_greedy_path(oy, u, v)
+        for other in (moved, pts[::-1]):
+            oy_other = build_oy(other, 30)
+            with pytest.raises(GeometryError, match="identical point sequences"):
+                subgraph_check(oy_other, ty)
+            with pytest.raises(GeometryError, match="share the point set"):
+                ty_descent_path(ty, oy_other, frame, a)
 
 
 class TestTyDescentPath:

@@ -187,8 +187,8 @@ class TestRenderSvg:
         assert "<line" not in svg
 
     def test_one_line_for_two_point_graph(self):
-        g = build_yao([Point(0, 0), Point(1, 0)], 8)
-        svg = render_svg(list(g.points), g.edges)
+        pts = [Point(0, 0), Point(1, 0)]
+        svg = render_svg(pts, build_yao(pts, 8).edges)
         assert svg.count("<line") == 1  # both directions collapse undirected
 
     def test_deterministic_bytes(self):
