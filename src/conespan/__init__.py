@@ -63,7 +63,7 @@ from .paths import (
     ty_descent_path,
 )
 from .pointgen import GenKind, GenSpec, gen_points
-from .render import RenderOptions, render_svg
+from .render import render_svg
 
 __all__ = [
     "BoundTable",
@@ -79,7 +79,6 @@ __all__ = [
     "InvariantViolation",
     "PathTrace",
     "Point",
-    "RenderOptions",
     "SpannerReport",
     "StepAudit",
     "StepKind",

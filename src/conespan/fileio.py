@@ -35,8 +35,8 @@ def _detect_format(path: str | Path, fmt: str | None) -> str:
     raise ParseError(f"cannot infer format from {path}; pass format explicitly")
 
 
-def read_points(path: str | Path, fmt: str | None = None) -> list[Point]:
-    fmt = _detect_format(path, fmt)
+def read_points(path: str | Path) -> list[Point]:
+    fmt = _detect_format(path, None)
     text = Path(path).read_text()
     points: list[Point] = []
     if fmt == "csv":
@@ -145,9 +145,9 @@ def write_report(path: str | Path, report: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
-def validate_edges(xy: np.ndarray, edges: np.ndarray, lengths: np.ndarray, tol: float = 1e-12) -> None:
+def validate_edges(xy: np.ndarray, edges: np.ndarray, lengths: np.ndarray) -> None:
     """Check that edge indices are in range over the (n, 2) coordinates ``xy``
-    and that lengths match the coordinates."""
+    and that lengths match the coordinates to a relative 1e-12."""
     n = xy.shape[0]
     tails, heads = edges.T
     bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads)
@@ -155,7 +155,7 @@ def validate_edges(xy: np.ndarray, edges: np.ndarray, lengths: np.ndarray, tol: 
         t, h = edges[np.argmax(bad)]
         raise ParseError(f"edge {t}->{h} has invalid endpoints for {n} points")
     d = edge_lengths(xy, edges)
-    bad = ~(np.abs(d - lengths) <= tol * np.maximum(1.0, d))
+    bad = ~(np.abs(d - lengths) <= 1e-12 * np.maximum(1.0, d))
     if bad.any():
         i = int(np.argmax(bad))
         t, h = edges[i]

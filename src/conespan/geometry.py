@@ -136,7 +136,6 @@ class HitPart(str, Enum):
     CRITICAL_ARC = "critical_arc"
     NEAR_ARC = "near_arc"
     TOP = "top"
-    BOTTOM = "bottom"
     NONE = "none"
 
 
@@ -281,14 +280,7 @@ def covers_sector_check(th: float, gam: float, n_samples: int, seed: int) -> boo
     return bool(np.all(in_first[interior] | in_second[interior]))
 
 
-def lhp_containment_check(
-    u: Point,
-    v: Point,
-    th: float,
-    n_samples: int,
-    seed: int,
-    eps: float = EPS_REL,
-) -> bool:
+def lhp_containment_check(u: Point, v: Point, th: float, n_samples: int, seed: int) -> bool:
     """Sampled test that the similar copy grown from u toward v sticks out of
     the unit trapezoid only below the x-axis.
 
@@ -340,4 +332,4 @@ def lhp_containment_check(
     gy = u.y + d * (s * xs - c * ys)
     inside = _in_trapezoid_arr(th, gx, gy)
     outside_y = gy[~inside]
-    return bool(np.all(outside_y <= eps))
+    return bool(np.all(outside_y <= EPS_REL))

@@ -27,7 +27,6 @@ import numpy as np
 from .analysis import tau_bound
 from .build import ConeGraph, Family
 from .geometry import (
-    EPS_REL,
     TWO_PI,
     GeometryError,
     Point,
@@ -143,28 +142,58 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
 
 @dataclass(frozen=True)
 class DescentFrame:
-    """Placement of the unit trapezoid for the descent: apex vertex ``o``,
-    the location of the far bottom corner ``p`` (not necessarily an input
-    point), and the mirror flag of the generating frame."""
+    """Placement of the unit trapezoid for the descent: row ``(o, f)`` of
+    build_ty's first-contact table, with ``f = reflected * k + orientation
+    index``.  The trapezoid's apex is vertex ``o``; its far bottom corner p
+    lies on the orientation ``f % k`` at the distance of the frame's first
+    hit ``ty_head[o, f]``, mirrored when ``f >= k``."""
 
     o: int
-    p: Point
-    reflected: bool
+    f: int
 
 
-def _placement(ox: float, oy: float, p: Point) -> tuple[float, float, float, float]:
-    """Per-frame scalars of the unit-local map with the apex at (ox, oy) and
-    the far corner at ``p``: the scale |op|, the orientation of o->p, and its
-    cosine and sine.  Scalar ``math`` on purpose: numpy's vectorized hypot and
-    arctan2 differ from it in the last bit, which would move borderline
-    points across the witness conditions.  The harvest (:func:`_harvest`)
-    makes the same ``math`` calls on the same floats for all its frames at
-    once."""
-    s = math.hypot(p.x - ox, p.y - oy)
-    if s <= 0.0:
+def _placement(ty: ConeGraph, o: int, f: int) -> tuple[float, float, float]:
+    """Scale |op|, and cosine and sine of the orientation of o->p, of frame
+    ``(o, f)``'s unit-local map.  Scalar ``math`` on purpose: numpy's
+    vectorized hypot and arctan2 differ from it in the last bit, which would
+    move borderline points across the witness conditions.  Its bulk twin
+    :func:`_place_frames` makes the same ``math`` calls on the same floats."""
+    k = ty.k
+    ox, oy = ty.xy[o].tolist()
+    hx, hy = ty.xy[ty.ty_head[o, f]].tolist()
+    s = math.hypot(hx - ox, hy - oy)
+    angle = f % k * (TWO_PI / k)
+    dx = ox + s * math.cos(angle) - ox
+    dy = oy + s * math.sin(angle) - oy
+    scale = math.hypot(dx, dy)
+    if scale <= 0.0:
         raise GeometryError("degenerate placement: p coincides with the apex")
-    orient = math.atan2(p.y - oy, p.x - ox)
-    return s, orient, math.cos(orient), math.sin(orient)
+    orient = math.atan2(dy, dx)
+    return scale, math.cos(orient), math.sin(orient)
+
+
+def _place_frames(xy, tails, heads, fs, k):
+    """:func:`_placement` of the frames ``(tails[i], fs[i])``, whose first
+    hits are ``heads[i]``, as three float arrays."""
+    grid = TWO_PI / k
+    cos_j = np.array([math.cos(j * grid) for j in range(k)])
+    sin_j = np.array([math.sin(j * grid) for j in range(k)])
+    ox, oy = xy[tails].T
+    # p lies on the frame's orientation at the head's distance
+    s = _math_map(math.hypot, *(xy[heads] - xy[tails]).T)
+    dx = ox + s * cos_j[fs % k] - ox
+    dy = oy + s * sin_j[fs % k] - oy
+    scale = _math_map(math.hypot, dx, dy)
+    if not np.all(scale > 0.0):
+        raise GeometryError("degenerate placement: p coincides with the apex")
+    orient = _math_map(math.atan2, dy, dx)
+    return scale, _math_map(math.cos, orient), _math_map(math.sin, orient)
+
+
+def _math_map(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar ``math`` function, see :func:`_placement`) applied
+    elementwise to float arrays, as a float array."""
+    return np.fromiter(map(fn, *(col.tolist() for col in columns)), float, len(columns[0]))
 
 
 def _to_local(dx, dy, s, c, sn, flip):
@@ -199,9 +228,10 @@ def ty_descent_path(
     toward the apex, is one of build_ty's frames, so its first hit and
     whether that hit is critical are read from the graph's first-contact
     table.  Preconditions (each named on violation): ``oy`` and ``ty`` share
-    the point set and parameter; the placement direction o->p lies on the
-    construction grid; the placed unit trapezoid has an empty interior; and
-    in unit-local coordinates 0 < x_a < 1, y_a <= 0, 0 < phi(a->p) < pi/6.
+    the point set and parameter; the frame is a critical row of that table,
+    so its first hit lies at distance |op| and the placed unit trapezoid is
+    empty by construction; and in unit-local coordinates 0 < x_a < 1,
+    y_a <= 0, 0 < phi(a->p) < pi/6.
     """
     if ty.family is not Family.TRAPEZOIDAL_YAO:
         raise GeometryError(f"descent requires a trapezoidal-Yao graph, got {ty.family.value}")
@@ -214,33 +244,26 @@ def ty_descent_path(
     k = ty.k
     tau = tau_bound(k)
     n = ty.n
-    o = frame.o
+    o, f0 = frame.o, frame.f
     if not (0 <= o < n and 0 <= a < n):
         raise GeometryError(f"vertex index out of range: o={o}, a={a}, n={n}")
     if a == o:
         raise GeometryError("witness must differ from the apex")
+    # a critical frame's first hit is at distance |op|, and a dilation is
+    # never below distance, so no point enters the placed shape before it
+    if not (0 <= f0 < 2 * k and ty.ty_critical[o, f0]):
+        raise GeometryError(f"precondition failed: frame {f0} of vertex {o} selected no trapezoidal-Yao edge")
+    j0, reflected = f0 % k, f0 >= k
 
     xy = ty.xy
     x0, y0 = xy[o]
-    scale, orient, c, sn = _placement(x0, y0, frame.p)
-    flip = -1.0 if frame.reflected else 1.0
+    scale, c, sn = _placement(ty, o, f0)
+    flip = -1.0 if reflected else 1.0
 
     def local(v: int) -> tuple[float, float]:
         return _to_local(xy[v, 0] - x0, xy[v, 1] - y0, scale, c, sn, flip)
 
     grid = TWO_PI / k
-    angle = normalize_angle(orient)
-    j0 = round(angle / grid)
-    if abs(angle - (j0 % k) * grid) > 1e-9 and abs(angle - j0 * grid) > 1e-9:
-        raise GeometryError("precondition failed: placement direction o->p must lie on the cone grid")
-
-    # empty interior: no point may enter the unit shape strictly before scale 1
-    # (boundary contact at scale 1 is allowed, hence the relative margin)
-    f0 = frame.reflected * k + j0 % k
-    if not ty.ty_lam[o, f0] >= scale * (1.0 - EPS_REL):
-        raise GeometryError(
-            f"precondition failed: placed trapezoid interior contains point {ty.ty_head[o, f0]}"
-        )
     ax, ay = local(a)
     if not (0.0 < ax < 1.0):
         raise GeometryError(f"precondition failed: 0 < x_a < 1 (got x_a={ax})")
@@ -270,7 +293,7 @@ def ty_descent_path(
         psi = j * grid
         # the trapezoid grown along local direction psi, mirrored in local
         # coordinates, is the global frame at orient +- psi of opposite mirror
-        f = (j0 - j) % k if frame.reflected else k + (j0 + j) % k
+        f = (j0 - j) % k if reflected else k + (j0 + j) % k
         win = int(ty.ty_head[cur, f])
         if win < 0:
             raise InvariantViolation("trapezoid growth found no candidate point")
@@ -317,9 +340,9 @@ def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
     """Guaranteed ceiling x_a + (2*tau + 1)*|y_a| on the descent length, in
     the same frame-local units the trace reports."""
     ox, oy = ty.xy[frame.o]
-    s, _, c, sn = _placement(ox, oy, frame.p)
+    s, c, sn = _placement(ty, frame.o, frame.f)
     ax, ay = ty.xy[a]
-    lx, ly = _to_local(ax - ox, ay - oy, s, c, sn, -1.0 if frame.reflected else 1.0)
+    lx, ly = _to_local(ax - ox, ay - oy, s, c, sn, -1.0 if frame.f >= ty.k else 1.0)
     tau = tau_bound(ty.k)
     return float(lx + (2.0 * tau + 1.0) * abs(ly))
 
@@ -333,21 +356,20 @@ _FRAME_BLOCK = 2048
 
 
 class _FrameTable:
-    """The frames of a harvest, one row each: tail ``o``, far corner ``p``
-    and mirror flag.  A row's ``DescentFrame`` is built on first access and
-    then shared by every configuration of that frame."""
+    """The frames of a harvest, one row each: tail ``o`` and table column
+    ``f``.  A row's ``DescentFrame`` is built on first access and then shared
+    by every configuration of that frame."""
 
-    __slots__ = ("_o", "_px", "_py", "_reflected", "_built")
+    __slots__ = ("_o", "_f", "_built")
 
-    def __init__(self, o: np.ndarray, px: np.ndarray, py: np.ndarray, reflected: np.ndarray):
-        self._o, self._px, self._py, self._reflected = o, px, py, reflected
+    def __init__(self, o: np.ndarray, f: np.ndarray):
+        self._o, self._f = o, f
         self._built: list[DescentFrame | None] = [None] * len(o)
 
     def frame(self, row: int) -> DescentFrame:
         built = self._built[row]
         if built is None:
-            p = Point(self._px[row].item(), self._py[row].item())
-            built = DescentFrame(self._o[row].item(), p, self._reflected[row].item())
+            built = DescentFrame(self._o[row].item(), self._f[row].item())
             self._built[row] = built
         return built
 
@@ -413,25 +435,18 @@ def _iter_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) ->
         yield DescentConfigs(table, row, witness)
 
 
-def _math_map(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` (a scalar ``math`` function, see :func:`_placement`) applied
-    elementwise to float arrays, as a float array."""
-    return np.fromiter(map(fn, *(col.tolist() for col in columns)), float, len(columns[0]))
-
-
 def _harvest(
     ty: ConeGraph, edge: tuple[int, int] | None
 ) -> tuple[_FrameTable, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The frame table of a harvest and a generator of its configurations'
     (frame row, witness) arrays, one pair per tail vertex that has any.
 
-    The generator fills the table's placements as it goes, in bulk passes
+    The generator places the frames as it goes, in bulk passes
     over the frames of at least ``_FRAME_BLOCK`` frames' worth of tails, so
     a caller that stops after the first tails places only their frames."""
     if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_critical is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
     k = ty.k
-    grid = TWO_PI / k
     xy = ty.xy
     critical = ty.ty_critical
     if edge is not None:
@@ -444,27 +459,11 @@ def _harvest(
     # order, and a stable sort keeps it
     order = np.argsort(tails * ty.n + heads, kind="stable")
     tails, fs, heads = tails[order], fs[order], heads[order]
-    cos_j = np.array([math.cos(j * grid) for j in range(k)])
-    sin_j = np.array([math.sin(j * grid) for j in range(k)])
-    px, py, scale, c, sn = (np.empty((len(tails), 1)) for _ in range(5))
+    placement = np.empty((3, len(tails), 1))  # scale, cosine and sine per frame
+    scale, c, sn = placement
     flip = np.where(fs >= k, -1.0, 1.0)[:, None]
-    table = _FrameTable(tails, px[:, 0], py[:, 0], fs >= k)
+    table = _FrameTable(tails, fs)
     bounds = np.flatnonzero(np.diff(tails, prepend=-1)).tolist() + [len(tails)]
-
-    def place(rows: slice) -> None:
-        # p lies on the frame's orientation at the head's distance; then the
-        # scalars of _placement(o, p), the same math calls on the same floats
-        ox, oy = xy[tails[rows]].T
-        s = _math_map(math.hypot, *(xy[heads[rows]] - xy[tails[rows]]).T)
-        px[rows, 0] = ox + s * cos_j[fs[rows] % k]
-        py[rows, 0] = oy + s * sin_j[fs[rows] % k]
-        dx, dy = px[rows, 0] - ox, py[rows, 0] - oy
-        scale[rows, 0] = _math_map(math.hypot, dx, dy)
-        if not np.all(scale[rows] > 0.0):
-            raise GeometryError("degenerate placement: p coincides with the apex")
-        orient = _math_map(math.atan2, dy, dx)
-        c[rows, 0] = _math_map(math.cos, orient)
-        sn[rows, 0] = _math_map(math.sin, orient)
 
     def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         placed = 0
@@ -473,7 +472,7 @@ def _harvest(
                 # this tail's frames and the next tails', up to the first
                 # tail bound at least _FRAME_BLOCK frames on
                 end = bounds[min(bisect_left(bounds, lo + _FRAME_BLOCK), len(bounds) - 1)]
-                place(slice(lo, end))
+                placement[:, lo:end, 0] = _place_frames(xy, tails[lo:end], heads[lo:end], fs[lo:end], k)
                 placed = end
             t = tails[lo]
             adx = xy[:, 0] - xy[t, 0]

@@ -281,9 +281,18 @@ def bisect_first_contact(th: float, x: float, y: float, iters: int = 100) -> flo
     return hi
 
 
-def oracle_local_coords(xy: np.ndarray, o: int, p: Point, reflected: bool) -> tuple[np.ndarray, float]:
-    """Unit-local coordinates of all points (apex at origin, p at (1,0))."""
+def oracle_local_coords(ty: ConeGraph, frame: DescentFrame) -> tuple[np.ndarray, float]:
+    """Unit-local coordinates of all points (apex at origin, p at (1,0)) in
+    the placement of table row ``(frame.o, frame.f)``: p lies on orientation
+    ``f % k`` at the distance of the row's first hit, mirrored for f >= k."""
+    k = ty.k
+    xy = ty.xy
+    o = frame.o
     ox, oy = xy[o]
+    hx, hy = xy[ty.ty_head[o, frame.f]]
+    d = math.hypot(hx - ox, hy - oy)
+    orient = (frame.f % k) * (TWO_PI / k)
+    p = Point(ox + d * math.cos(orient), oy + d * math.sin(orient))
     s = math.hypot(p.x - ox, p.y - oy)
     if s <= 0.0:
         raise GeometryError("degenerate placement: p coincides with the apex")
@@ -294,7 +303,7 @@ def oracle_local_coords(xy: np.ndarray, o: int, p: Point, reflected: bool) -> tu
     dy = xy[:, 1] - oy
     lx = (c * dx + sn * dy) / s
     ly = (-sn * dx + c * dy) / s
-    if reflected:
+    if frame.f >= k:
         ly = -ly
     return np.column_stack([lx, ly]), s
 
@@ -302,16 +311,11 @@ def oracle_local_coords(xy: np.ndarray, o: int, p: Point, reflected: bool) -> tu
 def oracle_harvest(ty) -> list[tuple[DescentFrame, int]]:
     """Per-frame harvest reference: every selection frame maps all points to
     its local coordinates and tests the witness conditions on each."""
-    k = ty.k
-    grid = TWO_PI / k
-    xy = ty.xy
     configs: list[tuple[DescentFrame, int]] = []
-    for (t, h), frame_list in sorted(ty.ty_frames.items()):
-        s = math.hypot(xy[h, 0] - xy[t, 0], xy[h, 1] - xy[t, 1])
+    for (t, _), frame_list in sorted(ty.ty_frames.items()):
         for j, reflected in frame_list:
-            orient = j * grid
-            p = Point(xy[t, 0] + s * math.cos(orient), xy[t, 1] + s * math.sin(orient))
-            local, _ = oracle_local_coords(xy, t, p, reflected)
+            frame = DescentFrame(t, reflected * ty.k + j)
+            local, _ = oracle_local_coords(ty, frame)
             lx = local[:, 0]
             ly = local[:, 1]
             phi_ap = np.arctan2(-ly, 1.0 - lx)
@@ -324,7 +328,7 @@ def oracle_harvest(ty) -> list[tuple[DescentFrame, int]]:
             )
             ok[t] = False
             for a in np.flatnonzero(ok):
-                configs.append((DescentFrame(t, p, reflected), int(a)))
+                configs.append((frame, int(a)))
     return configs
 
 
@@ -347,7 +351,7 @@ def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, frame: DescentFrame, a: in
     reading build_ty's table.  Returns the vertex walk and the (kind, length,
     psi) of each step; raises InvariantViolation where a critical-arc hit is
     not a trapezoidal-Yao edge."""
-    local, scale = oracle_local_coords(ty.xy, frame.o, frame.p, frame.reflected)
+    local, scale = oracle_local_coords(ty, frame)
     sin_th = math.sin(theta(ty.k))
     grid = TWO_PI / ty.k
     vertices, steps, cur = [a], [], a

@@ -6,9 +6,10 @@ import pytest
 from conespan import verify
 from conespan.build import build_oy, build_ty
 from conespan.cli import _build_parser, _config_from_args, main
-from conespan.fileio import read_points
-from conespan.geometry import TWO_PI, Point, dist
+from conespan.fileio import read_points, write_points
+from conespan.geometry import Point, dist
 from conespan.paths import InvariantViolation, ty_descent_path
+from conespan.pointgen import GenKind, GenSpec, gen_points
 from conespan.verify import ConfigError, RunConfig
 from conftest import oracle_harvest
 
@@ -154,19 +155,8 @@ class TestPath:
         points = read_points(points30)
         ty, oy = build_ty(points, 30), build_oy(points, 30)
         tail, head, witness = 0, 14, 11
-        s = dist(points[tail], points[head])
-        own = {
-            (j * (TWO_PI / 30), reflected) for j, reflected in ty.ty_frames[(tail, head)]
-        }
-        own_frames = [
-            frame
-            for frame, a in oracle_harvest(ty)
-            if frame.o == tail and a == witness and any(
-                frame.reflected == reflected
-                and frame.p == Point(points[tail].x + s * math.cos(o), points[tail].y + s * math.sin(o))
-                for o, reflected in own
-            )
-        ]
+        own = {reflected * 30 + j for j, reflected in ty.ty_frames[(tail, head)]}
+        own_frames = [frame for frame, a in oracle_harvest(ty) if frame.o == tail and a == witness and frame.f in own]
         first_from_tail = next(f for f, a in oracle_harvest(ty) if f.o == tail and a == witness)
         assert own_frames and first_from_tail != own_frames[0]  # another edge's frame comes first
         expected = ty_descent_path(ty, oy, own_frames[0], witness)
@@ -311,6 +301,18 @@ class TestVerify:
         assert (code, capsys.readouterr().err) == (0, "")
         [check] = json.loads(rep.read_text())["checks"]
         assert check["passed"] and check["details"]["configs"] == 300
+
+    @pytest.mark.parametrize("source", ["tight_cluster", "translated"])
+    def test_cancelling_placement_input_passes(self, source, tmp_path, capsys):
+        # p - o loses its direction to cancellation on these inputs; the
+        # descent took a frame's orientation back from it and exited 2
+        if source == "tight_cluster":
+            args = ["--kind", "clustered", "--n", "200", "--spread", "1e-7"]
+        else:
+            uniform = gen_points(GenSpec(GenKind.UNIFORM_SQUARE, 150, seed=1))
+            write_points(tmp_path / "pts.csv", [Point(p.x + 1e6, p.y + 1e6) for p in uniform])
+            args = ["--in", str(tmp_path / "pts.csv")]
+        assert (run("verify", "--k", "30", *args), capsys.readouterr().err) == (0, "")
 
     def test_ratio_bound_reports_samples_outside_the_ratios_domain(self, monkeypatch):
         # a sample where ratio_oracle would raise fails its check with a witness

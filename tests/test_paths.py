@@ -206,10 +206,9 @@ class TestTyDescentPath:
 
     def test_intermediates_stay_in_lower_half_plane(self, setup):
         pts, ty, oy = setup
-        xy = np.array([[p.x, p.y] for p in pts])
         for frame, a in harvest_descent_configs(ty)[:150]:
             tr = ty_descent_path(ty, oy, frame, a)
-            local, _ = oracle_local_coords(xy, frame.o, frame.p, frame.reflected)
+            local, _ = oracle_local_coords(ty, frame)
             for vtx in tr.vertices:
                 assert local[vtx, 1] <= TOL
 
@@ -240,8 +239,7 @@ class TestTyDescentPath:
         with pytest.raises(GeometryError, match="witness"):
             ty_descent_path(ty, oy, frame, frame.o)
         # a vertex on the wrong side of the frame violates a named clause
-        xy = np.array([[p.x, p.y] for p in pts])
-        local, _ = oracle_local_coords(xy, frame.o, frame.p, frame.reflected)
+        local, _ = oracle_local_coords(ty, frame)
         bad = next(
             i
             for i in range(len(pts))
@@ -257,41 +255,46 @@ class TestTyDescentPath:
         with pytest.raises(GeometryError, match="share"):
             ty_descent_path(ty, other, frame, a)
 
-    def test_off_grid_placement_rejected(self, setup):
+    def test_non_critical_frame_rejected(self, setup):
+        # a frame that selected no edge has no certified empty placement,
+        # whether it hit a point off the critical arc or none at all
         pts, ty, oy = setup
         frame, a = harvest_descent_configs(ty)[0]
-        o_pt = pts[frame.o]
-        s = dist(o_pt, frame.p)
-        skew = math.atan2(frame.p.y - o_pt.y, frame.p.x - o_pt.x) + 0.01
-        crooked = DescentFrame(frame.o, Point(o_pt.x + s * math.cos(skew), o_pt.y + s * math.sin(skew)), frame.reflected)
-        with pytest.raises(GeometryError, match="grid"):
-            ty_descent_path(ty, oy, crooked, a)
+        open_rows = np.argwhere(~ty.ty_critical)
+        hit = ty.ty_head[tuple(open_rows.T)] >= 0
+        assert hit.any() and not hit.all()
+        rows = [(frame.o, f) for f in np.flatnonzero(~ty.ty_critical[frame.o]).tolist()]
+        rows += [(o, f) for o, f in open_rows[[np.argmax(hit), np.argmax(~hit)]].tolist()]
+        for o, f in rows:
+            witness = a if o == frame.o else (o + 1) % ty.n
+            with pytest.raises(GeometryError, match="precondition failed: frame"):
+                ty_descent_path(ty, oy, DescentFrame(o, f), witness)
+
+    @pytest.mark.parametrize(
+        "column",
+        [lambda f, k: -1, lambda f, k: f - 2 * k, lambda f, k: 2 * k, lambda f, k: f + 2 * k],
+        ids=["minus_one", "wrapped_below", "two_k", "wrapped_above"],
+    )
+    def test_frame_out_of_range_rejected(self, setup, column):
+        # f indexes the table's 2k columns: a column 2k below or above a
+        # critical one must not stand for it
+        pts, ty, oy = setup
+        frame, a = harvest_descent_configs(ty)[0]
+        f = column(frame.f, ty.k)
+        with pytest.raises(GeometryError, match="precondition failed: frame"):
+            ty_descent_path(ty, oy, DescentFrame(frame.o, f), a)
 
     def test_both_chiralities_harvested_and_walkable(self, setup):
         pts, ty, oy = setup
         configs = harvest_descent_configs(ty)
         by_refl = {False: None, True: None}
         for frame, a in configs:
-            if by_refl[frame.reflected] is None:
-                by_refl[frame.reflected] = (frame, a)
+            if by_refl[frame.f >= ty.k] is None:
+                by_refl[frame.f >= ty.k] = (frame, a)
         assert by_refl[False] is not None and by_refl[True] is not None
         for frame, a in by_refl.values():
             tr = ty_descent_path(ty, oy, frame, a)
             assert tr.vertices[-1] == frame.o
-
-    def test_interior_precondition_reads_the_table(self, setup):
-        # p pushed out to 1.5 |op| grows the placed shape past the frame's
-        # own first hit, the head of the edge it selected
-        pts, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
-        o_pt = pts[frame.o]
-        far = Point(o_pt.x + 1.5 * (frame.p.x - o_pt.x), o_pt.y + 1.5 * (frame.p.y - o_pt.y))
-        j = round(math.atan2(frame.p.y - o_pt.y, frame.p.x - o_pt.x) / (TWO_PI / ty.k)) % ty.k
-        winner = ty.ty_head[frame.o, frame.reflected * ty.k + j]
-        assert ty.ty_critical[frame.o, frame.reflected * ty.k + j]
-        assert dist(o_pt, pts[winner]) == pytest.approx(dist(o_pt, frame.p), rel=1e-12)
-        with pytest.raises(GeometryError, match=f"interior contains point {winner}$"):
-            ty_descent_path(ty, oy, DescentFrame(frame.o, far, frame.reflected), a)
 
     def test_all_step_kinds_reachable(self):
         # across a few seeds the harvest exercises every labeled step kind
@@ -322,7 +325,7 @@ class TestTyDescentPath:
 
 
 def _config_rows(configs):
-    return [(frame.o, frame.p, frame.reflected, a) for frame, a in configs]
+    return [(frame.o, frame.f, a) for frame, a in configs]
 
 
 HARVEST_SETS = {
@@ -424,7 +427,7 @@ class TestHarvest:
         # index, slice and iteration access all hand out the frame's one object
         accessed = [configs[i] for i in range(len(configs))] + configs[::3] + list(configs)
         for frame, _ in accessed:
-            objects.setdefault((frame.o, frame.p, frame.reflected), set()).add(id(frame))
+            objects.setdefault((frame.o, frame.f), set()).add(id(frame))
         assert len(objects) > 1
         assert all(len(ids) == 1 for ids in objects.values())
 
@@ -437,7 +440,7 @@ class TestHarvest:
         assert configs[0] == rows[0] and configs[-1] == rows[-1] and configs[-7] == rows[-7]
         frame, a = configs[len(rows) // 2]
         assert type(frame) is DescentFrame and type(a) is int
-        assert type(frame.o) is int and type(frame.p.x) is float and type(frame.reflected) is bool
+        assert type(frame.o) is int and type(frame.f) is int
         for i in (len(rows), -len(rows) - 1):
             with pytest.raises(IndexError):
                 configs[i]
@@ -459,6 +462,53 @@ class TestHarvest:
         _, ty, _ = setup
         per_edge = [c for edge in sorted(ty.ty_frames) for c in harvest_descent_configs(ty, edge=edge)]
         assert _config_rows(per_edge) == _config_rows(harvest_descent_configs(ty))
+
+
+def _translated_uniform() -> list[Point]:
+    return [Point(p.x + 1e6, p.y + 1e6) for p in gen_points(GenSpec(GenKind.UNIFORM_SQUARE, 150, seed=1))]
+
+
+# inputs on which p - o loses its direction to cancellation: o sits far from
+# the origin, or o and its first hit are nearly equal
+CANCELLING_SETS = {
+    "translated": _translated_uniform,
+    "tight_cluster": lambda: gen_points(GenSpec(GenKind.CLUSTERED, 200, seed=1, spread=1e-7)),
+}
+PLACEMENT_SETS = {
+    "uniform": lambda: gen_points(GenSpec(GenKind.UNIFORM_SQUARE, 150, seed=4)),
+    "clustered": HARVEST_SETS["clustered"],
+    "cocircular": HARVEST_SETS["cocircular"],
+    "cocircular60": HARVEST_SETS["cocircular60"],
+    "grid": HARVEST_SETS["grid"],
+    **CANCELLING_SETS,
+}
+
+
+class TestPlacement:
+    """A frame's placement is worked out from its table row ``(o, f)``, by the
+    harvest in bulk and by the descent one frame at a time."""
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    @pytest.mark.parametrize("name", list(PLACEMENT_SETS))
+    def test_bulk_placement_equals_scalar_twin(self, name, k):
+        ty = build_ty(PLACEMENT_SETS[name](), k)
+        tails, fs = np.nonzero(ty.ty_critical)
+        assert tails.size
+        bulk = paths._place_frames(ty.xy, tails, ty.ty_head[tails, fs], fs, k)
+        scalar = np.array([paths._placement(ty, o, f) for o, f in zip(tails.tolist(), fs.tolist())]).T
+        assert np.array(bulk).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("name", list(CANCELLING_SETS))
+    def test_every_config_walks_on_cancelling_input(self, name):
+        # the descent took a frame's orientation back from the direction of
+        # p - o, which rounding had moved off the cone grid, and rejected it
+        pts = CANCELLING_SETS[name]()
+        ty, oy = build_ty(pts, 30), build_oy(pts, 30)
+        configs = harvest_descent_configs(ty)
+        assert len(configs) > 1000
+        for frame, a in configs:
+            tr = ty_descent_path(ty, oy, frame, a)
+            assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
 
 
 class TestDescentTable:

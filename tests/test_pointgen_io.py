@@ -16,7 +16,7 @@ from conespan.fileio import (
 )
 from conespan.geometry import GeometryError, Point
 from conespan.pointgen import GenKind, GenSpec, gen_points
-from conespan.render import RenderOptions, render_svg
+from conespan.render import render_svg
 
 
 class TestGenPoints:
@@ -204,7 +204,3 @@ class TestRenderSvg:
     def test_empty_input(self):
         svg = render_svg([], [])
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-
-    def test_options_respected(self):
-        svg = render_svg([Point(0, 0)], [], options=RenderOptions(point_color="#123456"))
-        assert "#123456" in svg
