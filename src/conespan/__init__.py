@@ -14,10 +14,8 @@ __version__ = "0.1.0"
 from .analysis import (
     BoundTable,
     SpannerReport,
-    brute_force_stretch,
     degree_stats,
     is_connected,
-    ratio_oracle,
     stretch_factor,
     subgraph_check,
     t_bound,
@@ -83,7 +81,6 @@ __all__ = [
     "StepAudit",
     "StepKind",
     "TrapezoidFrame",
-    "brute_force_stretch",
     "build_oy",
     "build_ty",
     "build_yao",
@@ -102,7 +99,6 @@ __all__ = [
     "oy_greedy_path",
     "phi_potential",
     "polar_angle",
-    "ratio_oracle",
     "render_svg",
     "scale_to_hit",
     "stretch_factor",

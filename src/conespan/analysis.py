@@ -1,5 +1,5 @@
 """Stretch-factor measurement, degree/connectivity audits, closed-form
-stretch bounds, and independent brute-force oracles.
+stretch bounds, and the vectorized sector ratio of the ratio-bound check.
 
 Stretch is always measured on the undirected support of the directed edge
 sets (graph distances between all ordered pairs divided by Euclidean
@@ -18,8 +18,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .build import _BLOCK, ConeGraph, as_point_array, edge_array, edge_lengths
-from .geometry import EPS_REL, GeometryError, Point, dist
+from .build import _BLOCK, ConeGraph, edge_array, edge_lengths
+from .geometry import EPS_REL, GeometryError
 
 
 @dataclass(frozen=True)
@@ -275,74 +275,12 @@ def subgraph_check(inner: ConeGraph, outer: ConeGraph) -> tuple[bool, np.ndarray
     return (not missing.size), missing
 
 
-def brute_force_stretch(points, edges) -> float:
-    """Independent stretch oracle: exhaustive all-pairs relaxation
-    (Floyd-Warshall) over the undirected support, for n <= 12 points.
-
-    ``edges`` holds (tail, head) pairs; weights are recomputed from the
-    coordinates.
-    """
-    xy = as_point_array(points)
-    n = xy.shape[0]
-    if n > 12:
-        raise GeometryError(f"brute-force oracle is limited to n <= 12, got {n}")
-    if n < 2:
-        raise GeometryError("stretch needs at least 2 points")
-    w = np.full((n, n), math.inf)
-    np.fill_diagonal(w, 0.0)
-    for t, h in edges:
-        d = math.hypot(xy[h, 0] - xy[t, 0], xy[h, 1] - xy[t, 1])
-        if d < w[t, h]:
-            w[t, h] = w[h, t] = d
-    for mid in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = w[i, mid] + w[mid, j]
-                if via < w[i, j]:
-                    w[i, j] = via
-    best = 1.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                best = max(best, w[i, j] / math.hypot(xy[j, 0] - xy[i, 0], xy[j, 1] - xy[i, 1]))
-    return float(best)
-
-
-def _angle_at(a: Point, b: Point, c: Point) -> float:
-    """Unsigned angle at vertex ``a`` between rays a->b and a->c, in [0, pi]."""
-    ux, uy = b.x - a.x, b.y - a.y
-    vx, vy = c.x - a.x, c.y - a.y
-    return abs(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
-
-
-def ratio_oracle(u: Point, v: Point, w: Point, tau: float) -> float:
-    """The ratio |uw| / (|uv| - tau*|vw|) under its validity conditions:
-    tau >= 1, tau*|vw| < |uv|, and both base angles at u and v below pi/2."""
-    if tau < 1.0:
-        raise GeometryError(f"tau must be >= 1, got {tau}")
-    duv = dist(u, v)
-    if duv == 0.0:
-        raise GeometryError("u and v must be distinct")
-    dvw = dist(v, w)
-    if tau * dvw >= duv:
-        raise GeometryError(f"requires tau*|vw| < |uv| (got {tau * dvw} >= {duv})")
-    duw = dist(u, w)
-    if dvw > 0.0:
-        ang_u = _angle_at(u, w, v)
-        ang_v = _angle_at(v, w, u)
-        if ang_u >= math.pi / 2 or ang_v >= math.pi / 2:
-            raise GeometryError(
-                f"base angles must lie in [0, pi/2) (got {ang_u} at u, {ang_v} at v)"
-            )
-    return duw / (duv - tau * dvw)
-
-
 def sector_ratios(wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ratio_oracle(Point(0, 0), Point(1, 0), w, 1.0)`` at each w = (wx, wy),
-    in numpy, and a mask of the w where the oracle's validity conditions hold
-    (it raises at the others): |vw| < |uv| = 1, and unless w = v, both base
-    angles below pi/2.  The same arithmetic as the oracle, except that numpy's
-    hypot and arctan2 may differ from ``math``'s in the last bit."""
+    """The sector ratio |uw| / (|uv| - |vw|) with u = (0, 0) and v = (1, 0),
+    at each w = (wx, wy), and a mask of the w where it is defined: |vw| < 1,
+    and unless w = v, both base angles, at u between u->v and u->w and at v
+    between v->u and v->w, below pi/2.  Outside the mask the ratio is
+    meaningless (possibly inf or nan)."""
     duw = np.hypot(wx, wy)
     dvw = np.hypot(wx - 1.0, wy)
     ang_u = np.abs(np.arctan2(-wy, wx))

@@ -22,21 +22,14 @@ class ParseError(ValueError):
     """Malformed input file; the message names the file and offending line."""
 
 
-def _detect_format(path: str | Path, fmt: str | None) -> str:
-    if fmt:
-        if fmt not in ("csv", "json"):
-            raise ParseError(f"unsupported format {fmt!r} (expected csv or json)")
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".json":
-        return "json"
-    raise ParseError(f"cannot infer format from {path}; pass format explicitly")
+_SUFFIX_FORMATS = {".csv": "csv", ".json": "json"}
 
 
 def read_points(path: str | Path) -> list[Point]:
-    fmt = _detect_format(path, None)
+    """Points from a ``.csv`` or ``.json`` file; the suffix sets the format."""
+    fmt = _SUFFIX_FORMATS.get(Path(path).suffix.lower())
+    if fmt is None:
+        raise ParseError(f"cannot infer format from {path}; point files must end in .csv or .json")
     text = Path(path).read_text()
     points: list[Point] = []
     if fmt == "csv":
@@ -82,7 +75,11 @@ def _point(x, y, where: str) -> Point:
 
 
 def write_points(path: str | Path, points: list[Point], fmt: str | None = None) -> None:
-    fmt = _detect_format(path, fmt)
+    fmt = fmt or _SUFFIX_FORMATS.get(Path(path).suffix.lower())
+    if fmt is None:
+        raise ParseError(f"cannot infer format from {path}; pass --format csv or json")
+    if fmt not in ("csv", "json"):
+        raise ParseError(f"unsupported format {fmt!r} (expected csv or json)")
     if fmt == "csv":
         lines = [f"{repr(p.x)},{repr(p.y)}" for p in points]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

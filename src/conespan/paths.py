@@ -17,10 +17,10 @@ at zero, which yields the descent length bound.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -152,48 +152,29 @@ class DescentFrame:
     f: int
 
 
-def _placement(ty: ConeGraph, o: int, f: int) -> tuple[float, float, float]:
-    """Scale |op|, and cosine and sine of the orientation of o->p, of frame
-    ``(o, f)``'s unit-local map.  Scalar ``math`` on purpose: numpy's
-    vectorized hypot and arctan2 differ from it in the last bit, which would
-    move borderline points across the witness conditions.  Its bulk twin
-    :func:`_place_frames` makes the same ``math`` calls on the same floats."""
-    k = ty.k
-    ox, oy = ty.xy[o].tolist()
-    hx, hy = ty.xy[ty.ty_head[o, f]].tolist()
-    s = math.hypot(hx - ox, hy - oy)
-    angle = f % k * (TWO_PI / k)
-    dx = ox + s * math.cos(angle) - ox
-    dy = oy + s * math.sin(angle) - oy
-    scale = math.hypot(dx, dy)
-    if scale <= 0.0:
-        raise GeometryError("degenerate placement: p coincides with the apex")
-    orient = math.atan2(dy, dx)
-    return scale, math.cos(orient), math.sin(orient)
-
-
-def _place_frames(xy, tails, heads, fs, k):
-    """:func:`_placement` of the frames ``(tails[i], fs[i])``, whose first
-    hits are ``heads[i]``, as three float arrays."""
+@cache
+def _grid_directions(k: int) -> np.ndarray:
+    """Cosines (row 0) and sines (row 1) of the grid directions j*2*pi/k.
+    Scalar ``math`` on purpose, so the table does not depend on how numpy
+    vectorizes cos and sin; read-only, as every caller shares it."""
     grid = TWO_PI / k
-    cos_j = np.array([math.cos(j * grid) for j in range(k)])
-    sin_j = np.array([math.sin(j * grid) for j in range(k)])
-    ox, oy = xy[tails].T
-    # p lies on the frame's orientation at the head's distance
-    s = _math_map(math.hypot, *(xy[heads] - xy[tails]).T)
-    dx = ox + s * cos_j[fs % k] - ox
-    dy = oy + s * sin_j[fs % k] - oy
-    scale = _math_map(math.hypot, dx, dy)
-    if not np.all(scale > 0.0):
-        raise GeometryError("degenerate placement: p coincides with the apex")
-    orient = _math_map(math.atan2, dy, dx)
-    return scale, _math_map(math.cos, orient), _math_map(math.sin, orient)
+    table = np.array([[math.cos(j * grid) for j in range(k)], [math.sin(j * grid) for j in range(k)]])
+    table.flags.writeable = False
+    return table
 
 
-def _math_map(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` (a scalar ``math`` function, see :func:`_placement`) applied
-    elementwise to float arrays, as a float array."""
-    return np.fromiter(map(fn, *(col.tolist() for col in columns)), float, len(columns[0]))
+def _placement(ty: ConeGraph, o, f):
+    """Scale |op|, cosine and sine of the orientation of o->p, and mirror
+    sign (-1.0 when ``f >= k``, else 1.0) of frame ``(o, f)``'s unit-local
+    map, for single indices or for index arrays elementwise.  p lies on the
+    grid direction ``f % k`` at the distance of the first hit
+    ``ty_head[o, f]``, so the orientation is read off the grid table, never
+    taken back from p - o.  numpy's hypot rounds a scalar as it rounds an
+    array element, so the harvest and the descent place a frame alike."""
+    xy, h, j = ty.xy, ty.ty_head[o, f], f % ty.k
+    cos, sin = _grid_directions(ty.k)
+    s = np.hypot(xy[h, 0] - xy[o, 0], xy[h, 1] - xy[o, 1])
+    return s, cos[j], sin[j], 1.0 - 2.0 * (f >= ty.k)
 
 
 def _to_local(dx, dy, s, c, sn, flip):
@@ -257,11 +238,11 @@ def ty_descent_path(
 
     xy = ty.xy
     x0, y0 = xy[o]
-    scale, c, sn = _placement(ty, o, f0)
-    flip = -1.0 if reflected else 1.0
+    placement = _placement(ty, o, f0)
+    scale = placement[0]
 
     def local(v: int) -> tuple[float, float]:
-        return _to_local(xy[v, 0] - x0, xy[v, 1] - y0, scale, c, sn, flip)
+        return _to_local(xy[v, 0] - x0, xy[v, 1] - y0, *placement)
 
     grid = TWO_PI / k
     ax, ay = local(a)
@@ -339,20 +320,14 @@ def ty_descent_path(
 def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
     """Guaranteed ceiling x_a + (2*tau + 1)*|y_a| on the descent length, in
     the same frame-local units the trace reports."""
-    ox, oy = ty.xy[frame.o]
-    s, c, sn = _placement(ty, frame.o, frame.f)
-    ax, ay = ty.xy[a]
-    lx, ly = _to_local(ax - ox, ay - oy, s, c, sn, -1.0 if frame.f >= ty.k else 1.0)
-    tau = tau_bound(ty.k)
-    return float(lx + (2.0 * tau + 1.0) * abs(ly))
+    dx, dy = ty.xy[a] - ty.xy[frame.o]
+    lx, ly = _to_local(dx, dy, *_placement(ty, frame.o, frame.f))
+    return phi_potential(Point(float(lx), float(ly)), 0.0, tau_bound(ty.k))
 
 
 # Relative slack on the harvest's pruning radius: far above the few ulps by
 # which the local map can misplace a point, far below any distance it prunes.
 _REACH_REL = 1e-6
-# Frames per bulk placement pass of the harvest: enough to amortize a pass,
-# few enough that a walk of the first configurations places few frames.
-_FRAME_BLOCK = 2048
 
 
 class _FrameTable:
@@ -413,10 +388,10 @@ def harvest_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) 
     Configurations come in edge order (tail, then head), then in each edge's
     frame order, then by witness index; the configurations of one frame share
     one ``DescentFrame``.  With ``edge`` given as (tail, head), only that
-    edge's frames are harvested.  The frames' placements are computed in bulk,
-    then one broadcast pass per tail vertex tests its frames against the
-    points near the tail.  ``_iter_descent_configs`` yields the same sequence
-    lazily, one tail at a time, for callers that walk only a prefix.
+    edge's frames are harvested.  One broadcast pass per tail vertex places
+    its frames and tests them against the points near the tail.
+    ``_iter_descent_configs`` yields the same sequence lazily, one tail at a
+    time, for callers that walk only a prefix.
     """
     table, chunks = _harvest(ty, edge)
     rows, witnesses = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -441,12 +416,10 @@ def _harvest(
     """The frame table of a harvest and a generator of its configurations'
     (frame row, witness) arrays, one pair per tail vertex that has any.
 
-    The generator places the frames as it goes, in bulk passes
-    over the frames of at least ``_FRAME_BLOCK`` frames' worth of tails, so
-    a caller that stops after the first tails places only their frames."""
+    The generator places each tail's frames when it reaches that tail, so a
+    caller that stops after the first tails places only their frames."""
     if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_critical is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
-    k = ty.k
     xy = ty.xy
     critical = ty.ty_critical
     if edge is not None:
@@ -458,33 +431,25 @@ def _harvest(
     # edge order, then frame order: np.nonzero lists each tail's frames in
     # order, and a stable sort keeps it
     order = np.argsort(tails * ty.n + heads, kind="stable")
-    tails, fs, heads = tails[order], fs[order], heads[order]
-    placement = np.empty((3, len(tails), 1))  # scale, cosine and sine per frame
-    scale, c, sn = placement
-    flip = np.where(fs >= k, -1.0, 1.0)[:, None]
+    tails, fs = tails[order], fs[order]
     table = _FrameTable(tails, fs)
     bounds = np.flatnonzero(np.diff(tails, prepend=-1)).tolist() + [len(tails)]
 
     def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        placed = 0
         for lo, hi in zip(bounds, bounds[1:]):
-            if hi > placed:
-                # this tail's frames and the next tails', up to the first
-                # tail bound at least _FRAME_BLOCK frames on
-                end = bounds[min(bisect_left(bounds, lo + _FRAME_BLOCK), len(bounds) - 1)]
-                placement[:, lo:end, 0] = _place_frames(xy, tails[lo:end], heads[lo:end], fs[lo:end], k)
-                placed = end
             t = tails[lo]
+            # one column per frame of this tail, to broadcast against its points
+            placement = [col[:, None] for col in _placement(ty, t, fs[lo:hi])]
             adx = xy[:, 0] - xy[t, 0]
             ady = xy[:, 1] - xy[t, 1]
             # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
             # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest point
             # from o is p, so |oa| < |op|: only points within the tail's largest
             # |op| can qualify for any of its frames.
-            reach = scale[lo:hi].max() * (1.0 + _REACH_REL)
+            reach = placement[0].max() * (1.0 + _REACH_REL)
             near = np.flatnonzero(np.hypot(adx, ady) <= reach)
             near = near[near != t]
-            local = _to_local(adx[near], ady[near], scale[lo:hi], c[lo:hi], sn[lo:hi], flip[lo:hi])
+            local = _to_local(adx[near], ady[near], *placement)
             rows, cols = np.nonzero(_is_witness(*local))
             if rows.size:
                 yield rows + lo, near[cols]

@@ -234,6 +234,68 @@ def oracle_all_pairs_dist(points: list[Point], pairs: set[tuple[int, int]]) -> n
     return w
 
 
+def brute_force_stretch(points, edges) -> float:
+    """Independent stretch oracle: exhaustive all-pairs relaxation
+    (Floyd-Warshall) over the undirected support, for n <= 12 points.
+
+    ``edges`` holds (tail, head) pairs; weights are recomputed from the
+    coordinates.
+    """
+    xy = as_point_array(points)
+    n = xy.shape[0]
+    if n > 12:
+        raise GeometryError(f"brute-force oracle is limited to n <= 12, got {n}")
+    if n < 2:
+        raise GeometryError("stretch needs at least 2 points")
+    w = np.full((n, n), math.inf)
+    np.fill_diagonal(w, 0.0)
+    for t, h in edges:
+        d = math.hypot(xy[h, 0] - xy[t, 0], xy[h, 1] - xy[t, 1])
+        if d < w[t, h]:
+            w[t, h] = w[h, t] = d
+    for mid in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = w[i, mid] + w[mid, j]
+                if via < w[i, j]:
+                    w[i, j] = via
+    best = 1.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                best = max(best, w[i, j] / math.hypot(xy[j, 0] - xy[i, 0], xy[j, 1] - xy[i, 1]))
+    return float(best)
+
+
+def _angle_at(a: Point, b: Point, c: Point) -> float:
+    """Unsigned angle at vertex ``a`` between rays a->b and a->c, in [0, pi]."""
+    ux, uy = b.x - a.x, b.y - a.y
+    vx, vy = c.x - a.x, c.y - a.y
+    return abs(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+
+
+def ratio_oracle(u: Point, v: Point, w: Point, tau: float) -> float:
+    """The ratio |uw| / (|uv| - tau*|vw|) under its validity conditions:
+    tau >= 1, tau*|vw| < |uv|, and both base angles at u and v below pi/2."""
+    if tau < 1.0:
+        raise GeometryError(f"tau must be >= 1, got {tau}")
+    duv = dist(u, v)
+    if duv == 0.0:
+        raise GeometryError("u and v must be distinct")
+    dvw = dist(v, w)
+    if tau * dvw >= duv:
+        raise GeometryError(f"requires tau*|vw| < |uv| (got {tau * dvw} >= {duv})")
+    duw = dist(u, w)
+    if dvw > 0.0:
+        ang_u = _angle_at(u, w, v)
+        ang_v = _angle_at(v, w, u)
+        if ang_u >= math.pi / 2 or ang_v >= math.pi / 2:
+            raise GeometryError(
+                f"base angles must lie in [0, pi/2) (got {ang_u} at u, {ang_v} at v)"
+            )
+    return duw / (duv - tau * dvw)
+
+
 def first_contact(alpha: np.ndarray, r: np.ndarray, sin_th: float) -> np.ndarray:
     """First-contact dilation (geometry._dilation) of points at distance
     ``r`` and local polar angle ``alpha`` over the whole broadcast shape:
@@ -290,13 +352,10 @@ def oracle_local_coords(ty: ConeGraph, frame: DescentFrame) -> tuple[np.ndarray,
     o = frame.o
     ox, oy = xy[o]
     hx, hy = xy[ty.ty_head[o, frame.f]]
-    d = math.hypot(hx - ox, hy - oy)
+    # numpy's hypot, as the descent's: math.hypot differs from it in the
+    # last bit on about 0.6 % of inputs, and the walks are compared exactly
+    s = float(np.hypot(hx - ox, hy - oy))
     orient = (frame.f % k) * (TWO_PI / k)
-    p = Point(ox + d * math.cos(orient), oy + d * math.sin(orient))
-    s = math.hypot(p.x - ox, p.y - oy)
-    if s <= 0.0:
-        raise GeometryError("degenerate placement: p coincides with the apex")
-    orient = math.atan2(p.y - oy, p.x - ox)
     c = math.cos(orient)
     sn = math.sin(orient)
     dx = xy[:, 0] - ox

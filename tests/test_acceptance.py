@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from conespan.analysis import (
-    brute_force_stretch,
     degree_stats,
     is_connected,
-    ratio_oracle,
     stretch_factor,
     subgraph_check,
     t_bound,
@@ -40,7 +38,7 @@ from conespan.paths import (
     ty_descent_path,
 )
 from conespan.pointgen import GenKind, GenSpec, gen_points
-from conftest import bisect_first_contact
+from conftest import bisect_first_contact, brute_force_stretch, ratio_oracle
 
 REL_TOL = 1e-9
 

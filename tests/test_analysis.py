@@ -7,10 +7,8 @@ from conespan import analysis
 from conespan.analysis import (
     BoundTable,
     _support_csr,
-    brute_force_stretch,
     degree_stats,
     is_connected,
-    ratio_oracle,
     sector_ratios,
     stretch_factor,
     subgraph_check,
@@ -22,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from conespan.build import ConeGraph, Family, as_point_array, build_yao, build_yao_yao, edge_array
 from conespan.geometry import GeometryError, Point
-from conftest import oracle_all_pairs_dist, random_points
+from conftest import brute_force_stretch, oracle_all_pairs_dist, random_points, ratio_oracle
 
 # frozen 50-digit evaluations of the closed forms (mpmath, dps=50)
 TAU_REF = {

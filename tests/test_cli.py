@@ -52,6 +52,30 @@ class TestGen:
         assert not out.exists()
 
 
+class TestPointFileFormat:
+    """The format of a point file comes from its suffix when read, and from
+    the suffix or --format when written; the message says which applies."""
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_unknown_suffix_on_read_names_the_suffixes(self, workspace, command, capsys):
+        # reading commands have no --format flag to point at
+        tmp_path, pts = workspace
+        dat = tmp_path / "pts.dat"
+        dat.write_text(pts.read_text())
+        argv = ["--in", str(dat), "--k", "30"] if command == "verify" else ["--in", str(dat)]
+        assert run(command, *argv, "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "must end in .csv or .json" in err and "--format" not in err
+
+    def test_unknown_suffix_on_write_points_at_format(self, tmp_path, capsys):
+        out = tmp_path / "pts.dat"
+        assert run("gen", "--n", "10", "--out", str(out)) == 3
+        assert "pass --format csv or json" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("gen", "--n", "10", "--format", "csv", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 10
+
+
 class TestBuild:
     def test_build_and_edges_file(self, workspace):
         tmp_path, pts = workspace

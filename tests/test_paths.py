@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 from itertools import chain, islice
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -355,17 +354,6 @@ class TestHarvest:
         assert configs
         assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
 
-    @pytest.mark.parametrize("block", [1, 7, 10**9])
-    @pytest.mark.parametrize("name", ["clustered", "cocircular"])
-    def test_placement_blocks_leave_the_harvest_unchanged(self, name, block):
-        # frames are placed in bulk passes over blocks of whole tails
-        ty = build_ty(HARVEST_SETS[name](), 30)
-        with patch.object(paths, "_FRAME_BLOCK", block):
-            configs = harvest_descent_configs(ty)
-            chunks = list(_iter_descent_configs(ty))
-        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
-        assert _config_rows(chain.from_iterable(chunks)) == _config_rows(configs)
-
     @given(small_point_sets(), st.integers(-40, 40), st.sampled_from([26, 30, 84]))
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_matches_per_frame_oracle_on_any_scaled_input(self, pts, j, k):
@@ -484,19 +472,49 @@ PLACEMENT_SETS = {
 }
 
 
+def _benchmark_instance(kind, n, k, **spec):
+    # the first instance the benchmark runs at --seed 23 (generator seed 23000)
+    return lambda: (gen_points(RunConfig(kind=kind, n=n, seed=23000, **spec).genspec()), k)
+
+
+# the sets whose every critical frame is placed on its grid row exactly
+GRID_ROW_SETS = {
+    **{name: (lambda make=make: (make(), 30)) for name, make in CANCELLING_SETS.items()},
+    "uniform_k30": _benchmark_instance("uniform_square", 700, 30),
+    "clustered_k84": _benchmark_instance("clustered", 420, 84),
+    "cocircular_k30": _benchmark_instance("co_circular", 560, 30, jitter=1e-3),
+}
+
+
 class TestPlacement:
     """A frame's placement is worked out from its table row ``(o, f)``, by the
-    harvest in bulk and by the descent one frame at a time."""
+    harvest for all frames of a tail at once and by the descent one frame at
+    a time, through one function."""
 
     @pytest.mark.parametrize("k", [26, 30, 84])
     @pytest.mark.parametrize("name", list(PLACEMENT_SETS))
     def test_bulk_placement_equals_scalar_twin(self, name, k):
+        # the harvest's per-tail array call and the descent's single-frame
+        # call give the same bits
         ty = build_ty(PLACEMENT_SETS[name](), k)
         tails, fs = np.nonzero(ty.ty_critical)
         assert tails.size
-        bulk = paths._place_frames(ty.xy, tails, ty.ty_head[tails, fs], fs, k)
-        scalar = np.array([paths._placement(ty, o, f) for o, f in zip(tails.tolist(), fs.tolist())]).T
-        assert np.array(bulk).tobytes() == scalar.tobytes()
+        per_tail = [np.array(paths._placement(ty, t, fs[tails == t])) for t in np.unique(tails).tolist()]
+        single = np.array([paths._placement(ty, o, f) for o, f in zip(tails.tolist(), fs.tolist())]).T
+        assert np.concatenate(per_tail, axis=1).tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("name", list(GRID_ROW_SETS))
+    def test_orientation_is_the_grid_row(self, name):
+        # the direction of p - o drifted off the grid by up to 2.4e-8 rad on
+        # the cancelling sets and by ulps elsewhere; the orientation is the
+        # frame's grid direction itself
+        pts, k = GRID_ROW_SETS[name]()
+        ty = build_ty(pts, k)
+        tails, fs = np.nonzero(ty.ty_critical)
+        assert tails.size > 1000
+        _, c, sn, *_ = paths._placement(ty, tails, fs)
+        grid = [(math.cos(j * (TWO_PI / k)), math.sin(j * (TWO_PI / k))) for j in (fs % k).tolist()]
+        assert np.column_stack([c, sn]).tobytes() == np.array(grid).tobytes()
 
     @pytest.mark.parametrize("name", list(CANCELLING_SETS))
     def test_every_config_walks_on_cancelling_input(self, name):
@@ -558,7 +576,7 @@ class TestDescentTable:
     @pytest.mark.xfail(
         strict=True,
         reason="bottom-ray witness: length 0.6691 > bound 0.6682, potential rise 0.785 "
-        "(59 of 4964 configs at this n and k); ROADMAP item 2 settles it",
+        "(62 of 4963 configs at this n and k); ROADMAP item 2 settles it",
     )
     def test_bottom_ray_witness_keeps_the_descent_bound(self):
         ty, oy, configs = self._bottom_ray_configs()
