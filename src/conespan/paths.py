@@ -187,13 +187,12 @@ def _to_local(dx, dy, s, c, sn, flip):
 
 def _is_witness(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     """Elementwise witness conditions 0 < x < 1, y <= 0 and
-    0 < phi(a->p) < pi/6 on unit-local coordinates.  The harvest and the
-    descent's precondition both decide through this one predicate, so a
-    point whose angle to p rounds onto pi/6 is judged alike by both."""
-    ok = (lx > 0.0) & (lx < 1.0) & (ly <= 0.0)
-    phi_ap = np.arctan2(-ly[ok], 1.0 - lx[ok])
-    ok[ok] = (phi_ap > 0.0) & (phi_ap < math.pi / 6)
-    return ok
+    0 < phi(a->p) < pi/6 on unit-local coordinates.  The descent's
+    precondition (``_descent_start``) evaluates the same expressions on
+    one-element arrays, so a point whose angle to p rounds onto pi/6 is
+    judged alike by the harvest and the descent."""
+    phi_ap = np.arctan2(-ly, 1.0 - lx)
+    return (lx > 0.0) & (lx < 1.0) & (ly <= 0.0) & (phi_ap > 0.0) & (phi_ap < math.pi / 6)
 
 
 def ty_descent_path(
@@ -214,10 +213,7 @@ def ty_descent_path(
     empty by construction; and in unit-local coordinates 0 < x_a < 1,
     y_a <= 0, 0 < phi(a->p) < pi/6.
     """
-    if ty.family is not Family.TRAPEZOIDAL_YAO:
-        raise GeometryError(f"descent requires a trapezoidal-Yao graph, got {ty.family.value}")
-    if ty.ty_head is None:
-        raise GeometryError("descent requires the trapezoidal-Yao first-contact table (ty_head)")
+    placement, ax, ay = _descent_start(ty, frame, a)
     if oy.family is not Family.OVERLAPPING_YAO:
         raise GeometryError(f"descent requires an overlapping-Yao graph, got {oy.family.value}")
     if oy.k != ty.k or not np.array_equal(oy.xy, ty.xy):
@@ -226,35 +222,16 @@ def ty_descent_path(
     tau = tau_bound(k)
     n = ty.n
     o, f0 = frame.o, frame.f
-    if not (0 <= o < n and 0 <= a < n):
-        raise GeometryError(f"vertex index out of range: o={o}, a={a}, n={n}")
-    if a == o:
-        raise GeometryError("witness must differ from the apex")
-    # a critical frame's first hit is at distance |op|, and a dilation is
-    # never below distance, so no point enters the placed shape before it
-    if not (0 <= f0 < 2 * k and ty.ty_critical[o, f0]):
-        raise GeometryError(f"precondition failed: frame {f0} of vertex {o} selected no trapezoidal-Yao edge")
     j0, reflected = f0 % k, f0 >= k
 
     xy = ty.xy
     x0, y0 = xy[o]
-    placement = _placement(ty, o, f0)
     scale = placement[0]
 
     def local(v: int) -> tuple[float, float]:
         return _to_local(xy[v, 0] - x0, xy[v, 1] - y0, *placement)
 
     grid = TWO_PI / k
-    ax, ay = local(a)
-    if not (0.0 < ax < 1.0):
-        raise GeometryError(f"precondition failed: 0 < x_a < 1 (got x_a={ax})")
-    if ay > 0.0:
-        raise GeometryError(f"precondition failed: y_a <= 0 (got y_a={ay})")
-    if not _is_witness(np.array([ax]), np.array([ay]))[0]:
-        raise GeometryError(
-            f"precondition failed: 0 < phi(a->p) < pi/6 (got {np.arctan2(-ay, 1.0 - ax)})"
-        )
-
     five_sixth = 5.0 * math.pi / 6.0
     at = {a: (ax, ay), o: local(o)}  # unit-local coordinates of the walk's vertices
     vertices = [a]
@@ -319,15 +296,55 @@ def ty_descent_path(
 
 def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
     """Guaranteed ceiling x_a + (2*tau + 1)*|y_a| on the descent length, in
-    the same frame-local units the trace reports."""
-    dx, dy = ty.xy[a] - ty.xy[frame.o]
-    lx, ly = _to_local(dx, dy, *_placement(ty, frame.o, frame.f))
-    return phi_potential(Point(float(lx), float(ly)), 0.0, tau_bound(ty.k))
+    the same frame-local units the trace reports, for a configuration that
+    meets the descent's preconditions (see :func:`ty_descent_path`)."""
+    _, ax, ay = _descent_start(ty, frame, a)
+    return phi_potential(Point(float(ax), float(ay)), 0.0, tau_bound(ty.k))
+
+
+def _descent_start(ty: ConeGraph, frame: DescentFrame, a: int):
+    """Placement of ``frame`` (as :func:`_placement`) and the unit-local
+    coordinates of ``a`` in it, after checking that the frame is a critical
+    row of ``ty``'s first-contact table and that ``a`` is a witness of it;
+    each violated condition is named."""
+    if ty.family is not Family.TRAPEZOIDAL_YAO:
+        raise GeometryError(f"descent requires a trapezoidal-Yao graph, got {ty.family.value}")
+    if ty.ty_head is None:
+        raise GeometryError("descent requires the trapezoidal-Yao first-contact table (ty_head)")
+    n = ty.n
+    o, f = frame.o, frame.f
+    if not (0 <= o < n and 0 <= a < n):
+        raise GeometryError(f"vertex index out of range: o={o}, a={a}, n={n}")
+    if a == o:
+        raise GeometryError("witness must differ from the apex")
+    # a critical frame's first hit is at distance |op|, and a dilation is
+    # never below distance, so no point enters the placed shape before it
+    if not (0 <= f < 2 * ty.k and ty.ty_critical[o, f]):
+        raise GeometryError(f"precondition failed: frame {f} of vertex {o} selected no trapezoidal-Yao edge")
+    xy = ty.xy
+    placement = _placement(ty, o, f)
+    ax, ay = _to_local(xy[a, 0] - xy[o, 0], xy[a, 1] - xy[o, 1], *placement)
+    if not (0.0 < ax < 1.0):
+        raise GeometryError(f"precondition failed: 0 < x_a < 1 (got x_a={ax})")
+    if ay > 0.0:
+        raise GeometryError(f"precondition failed: y_a <= 0 (got y_a={ay})")
+    # the last clause of _is_witness, on arrays as the harvest evaluates it
+    phi_ap = np.arctan2(np.array([-ay]), np.array([1.0 - ax]))[0]
+    if not (0.0 < phi_ap < math.pi / 6):
+        raise GeometryError(f"precondition failed: 0 < phi(a->p) < pi/6 (got {phi_ap})")
+    return placement, ax, ay
 
 
 # Relative slack on the harvest's pruning radius: far above the few ulps by
 # which the local map can misplace a point, far below any distance it prunes.
 _REACH_REL = 1e-6
+# Most frames the harvest places at once: a lazy walk places only the blocks
+# it reaches, and a full harvest holds one block's placements at a time.
+_BLOCK = 1 << 12
+# About how many screened (frame, point) pairs one local-map pass tests: it
+# spreads numpy's per-call cost over the many small tails of uniform input,
+# and four times as many slowed co-circular input, whose tails are large.
+_PAIRS = 1 << 13
 
 
 class _FrameTable:
@@ -352,7 +369,7 @@ class _FrameTable:
 class DescentConfigs(Sequence):
     """Immutable sequence of harvested (DescentFrame, witness) configurations.
 
-    Stored as a frame table and, per configuration, two int64 arrays: the
+    Stored as a frame table and, per configuration, two integer arrays: the
     row of its frame in that table and its witness.  ``len`` is O(1); an
     index, a slice (which gives a list) or iteration builds the tuples on
     access, and the configurations of one frame share one ``DescentFrame``.
@@ -388,8 +405,8 @@ def harvest_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) 
     Configurations come in edge order (tail, then head), then in each edge's
     frame order, then by witness index; the configurations of one frame share
     one ``DescentFrame``.  With ``edge`` given as (tail, head), only that
-    edge's frames are harvested.  One broadcast pass per tail vertex places
-    its frames and tests them against the points near the tail.
+    edge's frames are harvested.  Each frame is tested only against the
+    points within its own |op| of its tail.
     ``_iter_descent_configs`` yields the same sequence lazily, one tail at a
     time, for callers that walk only a prefix.
     """
@@ -398,13 +415,14 @@ def harvest_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) 
     for row, witness in chunks:
         rows.append(row)
         witnesses.append(witness)
-    return DescentConfigs(table, np.concatenate(rows), np.concatenate(witnesses))
+    # int32 halves what the finished harvest holds next to its chunks
+    return DescentConfigs(table, *(np.concatenate(col, dtype=np.int32) for col in (rows, witnesses)))
 
 
 def _iter_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) -> Iterator[DescentConfigs]:
     """The configurations of :func:`harvest_descent_configs`, in its order,
-    as one chunk per tail vertex that has any, each harvested as it is
-    consumed."""
+    as one chunk per tail vertex that has any, harvested as they are
+    consumed (a batch of consecutive tails at a time)."""
     table, chunks = _harvest(ty, edge)
     for row, witness in chunks:
         yield DescentConfigs(table, row, witness)
@@ -416,8 +434,10 @@ def _harvest(
     """The frame table of a harvest and a generator of its configurations'
     (frame row, witness) arrays, one pair per tail vertex that has any.
 
-    The generator places each tail's frames when it reaches that tail, so a
-    caller that stops after the first tails places only their frames."""
+    The generator places frames a block of whole tails at a time, when it
+    reaches the block's first tail, and tests a batch of whole tails before
+    it yields their chunks, so a caller that stops after the first tails
+    places and tests only the blocks and batches they fall in."""
     if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_critical is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
     xy = ty.xy
@@ -435,23 +455,51 @@ def _harvest(
     table = _FrameTable(tails, fs)
     bounds = np.flatnonzero(np.diff(tails, prepend=-1)).tolist() + [len(tails)]
 
+    def tested(pending, start, end, s, c, sn, flip) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # the witnesses among the screened pairs of consecutive whole tails,
+        # in one pass, then one chunk per tail that has any
+        los, rows, a, dx, dy = zip(*pending)
+        rows, a, dx, dy = map(np.concatenate, (rows, a, dx, dy))
+        ok = _is_witness(*_to_local(dx, dy, s[rows], c[rows], sn[rows], flip[rows]))
+        rows, a = rows[ok] + start, a[ok]
+        cut = np.searchsorted(rows, los + (end,)).tolist()
+        for x, y in zip(cut, cut[1:]):
+            if y > x:
+                yield rows[x:y], a[x:y]
+
     def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        start = end = 0  # placed frames: whole tails, at most _BLOCK unless one tail has more
+        pending, size = [], 0  # screened pairs of the tails not yet tested
         for lo, hi in zip(bounds, bounds[1:]):
+            if hi > end:
+                start, end = lo, max(hi, bounds[np.searchsorted(bounds, lo + _BLOCK, "right") - 1])
+                placement = _placement(ty, tails[start:end], fs[start:end])
+                # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
+                # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest
+                # point from o is p, so only points within the frame's own
+                # |op| can qualify.  The screen compares squares: the absolute
+                # slack covers their rounding below the normal range, a reach
+                # whose square overflows passes every point, and a distance
+                # whose square overflows lies beyond every finite reach.
+                with np.errstate(over="ignore"):
+                    reach = (placement[0] * (1.0 + _REACH_REL)) ** 2 + 1e-300
             t = tails[lo]
-            # one column per frame of this tail, to broadcast against its points
-            placement = [col[:, None] for col in _placement(ty, t, fs[lo:hi])]
             adx = xy[:, 0] - xy[t, 0]
             ady = xy[:, 1] - xy[t, 1]
-            # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
-            # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest point
-            # from o is p, so |oa| < |op|: only points within the tail's largest
-            # |op| can qualify for any of its frames.
-            reach = placement[0].max() * (1.0 + _REACH_REL)
-            near = np.flatnonzero(np.hypot(adx, ady) <= reach)
+            with np.errstate(over="ignore"):
+                d = adx * adx + ady * ady
+            own = reach[lo - start : hi - start]
+            near = np.flatnonzero(d <= own.max())
             near = near[near != t]
-            local = _to_local(adx[near], ady[near], *placement)
-            rows, cols = np.nonzero(_is_witness(*local))
-            if rows.size:
-                yield rows + lo, near[cols]
+            # (frame, point) pairs within the frame's reach, frame then point order
+            rows, cols = np.nonzero(d[near] <= own[:, None])
+            rows += lo - start
+            a = near[cols]
+            pending.append((lo, rows, a, adx[a], ady[a]))
+            size += len(a)
+            # test in batches of about _PAIRS pairs, and before the next placement
+            if size >= _PAIRS or hi == end:
+                yield from tested(pending, start, end, *placement)
+                pending, size = [], 0
 
     return table, chunks()

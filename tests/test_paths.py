@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from itertools import chain, islice
 
@@ -323,6 +324,66 @@ class TestTyDescentPath:
         assert selected == {win} == {ty.ty_head[0, k + 2]} == {1}
 
 
+def _length_bound(ty, oy, frame, a):
+    return descent_length_bound(ty, frame, a)
+
+
+# both entry points check a configuration's start conditions alike
+START_CHECKED = pytest.mark.parametrize(
+    "call", [ty_descent_path, _length_bound], ids=["descent", "bound"]
+)
+
+
+class TestDescentStart:
+    @START_CHECKED
+    @pytest.mark.parametrize("column", [lambda f, k: -1, lambda f, k: 2 * k], ids=["minus_one", "two_k"])
+    def test_frame_out_of_range_rejected(self, setup, call, column):
+        # -1 would wrap to the table's last column (a bound of 13.55 here)
+        _, ty, oy = setup
+        frame, a = harvest_descent_configs(ty)[0]
+        with pytest.raises(GeometryError, match="precondition failed: frame"):
+            call(ty, oy, DescentFrame(frame.o, column(frame.f, ty.k)), a)
+
+    @START_CHECKED
+    def test_non_critical_frame_rejected(self, setup, call):
+        # a row that selected no edge has no placed trapezoid (its bound was negative)
+        _, ty, oy = setup
+        frame, a = harvest_descent_configs(ty)[0]
+        f = int(np.flatnonzero(~ty.ty_critical[frame.o])[0])
+        with pytest.raises(GeometryError, match="precondition failed: frame"):
+            call(ty, oy, DescentFrame(frame.o, f), a)
+
+    @START_CHECKED
+    @pytest.mark.parametrize(
+        "clause,violates",
+        [
+            ("0 < x_a < 1", lambda x, y, phi: not 0.0 < x < 1.0),
+            ("y_a <= 0", lambda x, y, phi: 0.0 < x < 1.0 and y > 0.0),
+            ("0 < phi(a->p) < pi/6", lambda x, y, phi: 0.0 < x < 1.0 and y <= 0.0 and phi >= math.pi / 6),
+        ],
+        ids=["x", "y", "angle"],
+    )
+    def test_non_witness_rejected(self, setup, call, clause, violates):
+        _, ty, oy = setup
+        frame, a = harvest_descent_configs(ty)[0]
+        local, _ = oracle_local_coords(ty, frame)
+        phi = np.arctan2(-local[:, 1], 1.0 - local[:, 0])
+        bad = next(i for i in range(ty.n) if i != frame.o and violates(*local[i], phi[i]))
+        with pytest.raises(GeometryError, match=f"precondition failed: {re.escape(clause)}"):
+            call(ty, oy, frame, bad)
+
+    def test_bound_is_the_potential_at_the_witness(self, setup):
+        _, ty, _ = setup
+        tau = tau_bound(ty.k)
+        configs = harvest_descent_configs(ty)
+        assert len(configs) > 100
+        for frame, a in configs:
+            local, _ = oracle_local_coords(ty, frame)
+            bound = descent_length_bound(ty, frame, a)
+            assert type(bound) is float
+            assert bound == phi_potential(Point(*local[a].tolist()), 0.0, tau)
+
+
 def _config_rows(configs):
     return [(frame.o, frame.f, a) for frame, a in configs]
 
@@ -343,6 +404,16 @@ EXACT_SETS = ["cocircular48", "cocircular60", "cocircular100"]
 # the walk reads build_ty's table; elsewhere it equals a first-contact walk
 # over all points (tests/conftest.py), which on EXACT_SETS picks other winners
 WALK_SETS = [name for name in HARVEST_SETS if name not in EXACT_SETS]
+
+LARGER_SETS = pytest.mark.parametrize(
+    "spec,k",
+    [
+        (GenSpec(GenKind.UNIFORM_SQUARE, 300, seed=1), 30),
+        (GenSpec(GenKind.CLUSTERED, 200, seed=1), 84),
+        (GenSpec(GenKind.CO_CIRCULAR, 200, seed=1, jitter=1e-3), 30),
+    ],
+    ids=["uniform", "clustered", "cocircular"],
+)
 
 
 class TestHarvest:
@@ -377,15 +448,41 @@ class TestHarvest:
             harvested += len(configs)
         assert harvested > 0
 
-    @pytest.mark.parametrize(
-        "spec,k",
-        [
-            (GenSpec(GenKind.UNIFORM_SQUARE, 300, seed=1), 30),
-            (GenSpec(GenKind.CLUSTERED, 200, seed=1), 84),
-            (GenSpec(GenKind.CO_CIRCULAR, 200, seed=1, jitter=1e-3), 30),
-        ],
-        ids=["uniform", "clustered", "cocircular"],
-    )
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    @pytest.mark.parametrize("scale", [1e-161, 1e160], ids=["tiny", "huge"])
+    def test_matches_per_frame_oracle_where_squares_leave_the_normal_range(self, scale, k):
+        # offsets near 1e-161 square into subnormals, where rounding costs
+        # a squared screen without absolute slack a witness at k=30; near
+        # 1e160 they square past 1e300 and overflow.
+        ty = build_ty(random_points(60, 3, scale=scale), k)
+        tails, fs = np.nonzero(ty.ty_critical)
+        with np.errstate(over="ignore"):
+            squared = paths._placement(ty, tails, fs)[0] ** 2
+        assert not ((squared >= 1e-300) & (squared <= 1e300)).any()
+        configs = harvest_descent_configs(ty)
+        assert configs
+        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    def test_matches_per_frame_oracle_where_some_distances_overflow(self, k):
+        # unit-scale frames, whose squared reaches are finite, next to points
+        # near +-1e200, whose squared offsets from them overflow
+        far = [Point(1e200, 3e199), Point(-2e200, 1e200), Point(5e199, -1e200)]
+        ty = build_ty(random_points(40, 5) + far, k)
+        tails, fs = np.nonzero(ty.ty_critical)
+        with np.errstate(over="ignore"):
+            squared = paths._placement(ty, tails, fs)[0] ** 2
+        assert np.isfinite(squared).any() and np.isinf(squared).any()
+        configs = harvest_descent_configs(ty)
+        assert configs
+        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+
+    @LARGER_SETS
+    def test_matches_per_frame_oracle_on_larger_sets(self, spec, k):
+        ty = build_ty(gen_points(spec), k)
+        assert _config_rows(harvest_descent_configs(ty)) == _config_rows(oracle_harvest(ty))
+
+    @LARGER_SETS
     def test_lazy_prefix_equals_harvest_prefix(self, spec, k):
         # verify's potential suite walks the first max_descent_configs (300)
         # configs and harvests only those
@@ -450,6 +547,44 @@ class TestHarvest:
         _, ty, _ = setup
         per_edge = [c for edge in sorted(ty.ty_frames) for c in harvest_descent_configs(ty, edge=edge)]
         assert _config_rows(per_edge) == _config_rows(harvest_descent_configs(ty))
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 10**9])
+    @pytest.mark.parametrize("pairs", [1, 300, 10**9])
+    def test_blocks_and_batches_match_per_frame_oracle(self, monkeypatch, block, pairs):
+        # one tail per block or batch, blocks that split mid-way through the
+        # tails' frames (placed up to a whole tail), and one block or batch
+        monkeypatch.setattr(paths, "_BLOCK", block)
+        monkeypatch.setattr(paths, "_PAIRS", pairs)
+        for name in ("random", "cocircular"):
+            ty = build_ty(HARVEST_SETS[name](), 30)
+            expected = _config_rows(oracle_harvest(ty))
+            assert _config_rows(harvest_descent_configs(ty)) == expected
+            chunks = list(_iter_descent_configs(ty))
+            assert _config_rows(chain.from_iterable(chunks)) == expected
+            assert [len({frame.o for frame, _ in chunk}) for chunk in chunks] == [1] * len(chunks)
+
+    def test_first_chunk_places_and_tests_only_the_first_block(self, monkeypatch):
+        ty = build_ty(gen_points(GenSpec(GenKind.CO_CIRCULAR, 200, seed=1, jitter=1e-3)), 30)
+        placed, tested = [], []
+        placement, to_local = paths._placement, paths._to_local
+
+        def count_placed(ty, o, f):
+            placed.append(np.size(f))
+            return placement(ty, o, f)
+
+        def count_tested(dx, *rest):
+            tested.append(np.size(dx))
+            return to_local(dx, *rest)
+
+        monkeypatch.setattr(paths, "_placement", count_placed)
+        monkeypatch.setattr(paths, "_to_local", count_tested)
+        monkeypatch.setattr(paths, "_BLOCK", 500)
+        next(_iter_descent_configs(ty))
+        assert len(placed) == 1 and 500 - 2 * ty.k < placed[0] <= 500
+        assert len(tested) == 1 and paths._PAIRS <= tested[0] < 2 * paths._PAIRS
+        frames = int(ty.ty_critical.sum())
+        harvest_descent_configs(ty)
+        assert sum(placed[1:]) == frames and max(placed[1:]) <= 500
 
 
 def _translated_uniform() -> list[Point]:
