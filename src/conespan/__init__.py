@@ -37,7 +37,6 @@ from .geometry import (
     Point,
     TrapezoidFrame,
     cone_index,
-    covers_sector_check,
     dist,
     gamma,
     lhp_containment_check,
@@ -86,7 +85,6 @@ __all__ = [
     "build_yao",
     "build_yao_yao",
     "cone_index",
-    "covers_sector_check",
     "degree_stats",
     "descent_length_bound",
     "dist",

@@ -118,8 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", dest="suites", type=_suite_list, default=_DEFAULTS.suites,
                    help="comma-separated suite names or 'all'")
     p.add_argument("--tolerance", type=float, default=_DEFAULTS.tolerance)
-    p.add_argument("--sector-samples", type=int, default=_DEFAULTS.sector_samples)
-    p.add_argument("--ratio-samples", type=int, default=_DEFAULTS.ratio_samples)
     p.add_argument("--edges-yao", default=None)
     p.add_argument("--edges-yy", default=None)
     p.add_argument("--edges-oy", default=None)

@@ -21,16 +21,11 @@ from .analysis import (
     stretch_bound,
     stretch_factor,
     subgraph_check,
+    tau_bound,
 )
 from .build import FAMILIES, ConeGraph, build_ty, build_yao, derive_oy, derive_yao_yao, edge_array
 from .fileio import read_edges, read_points, validate_edges
-from .geometry import (
-    Point,
-    covers_sector_check,
-    gamma,
-    lhp_containment_check,
-    theta,
-)
+from .geometry import Point, gamma, lhp_containment_check, theta
 from .paths import InvariantViolation, _iter_descent_configs, descent_length_bound, ty_descent_path
 from .pointgen import GenKind, GenSpec, gen_points
 
@@ -43,7 +38,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Shared configuration for CLI runs, and the one home of their
     defaults: cone parameter, point source (generator spec or input file),
-    suite toggles, sample counts, and tolerance overrides."""
+    suite toggles, the descent-config cap, and tolerance overrides."""
 
     k: int = 30
     n: int = 100
@@ -58,8 +53,6 @@ class RunConfig:
     input_path: str | None = None
     suites: tuple[str, ...] = ("all",)
     tolerance: float = 1e-9
-    sector_samples: int = 100_000
-    ratio_samples: int = 10_000
     max_descent_configs: int = 300
     edge_files: dict[str, str] = field(default_factory=dict)
 
@@ -75,9 +68,8 @@ class RunConfig:
         unknown = [s for s in self.suites if s != "all" and s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown} (choose from {SUITES})")
-        for name in ("sector_samples", "ratio_samples", "max_descent_configs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_descent_configs < 1:
+            raise ConfigError(f"max_descent_configs must be >= 1, got {self.max_descent_configs}")
 
     def genspec(self) -> GenSpec:
         try:
@@ -260,13 +252,19 @@ def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckR
 
 
 def check_sector_cover(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
-    ok = covers_sector_check(theta(cfg.k), gamma(cfg.k), cfg.sector_samples, cfg.seed)
+    """The unit trapezoid and its mirror copy across the ray at gamma/2
+    cover the widened sector of directions (0, gamma) iff 2*theta >= gamma:
+    the copy holds every direction up to theta, since r < 1 <= 2 cos(phi)
+    and r sin(phi) < sin(theta), and the mirror every direction from
+    gamma - theta, while near r = 1 neither holds a direction in between.
+    The trapezoid itself needs theta in [pi/4, pi/3)."""
+    th, gam = theta(cfg.k), gamma(cfg.k)
     return [
         CheckResult(
             "sector_cover",
-            ok,
+            math.pi / 4 <= th < math.pi / 3 and gam <= 2.0 * th,
             0.0,
-            {"theta": theta(cfg.k), "gamma": gamma(cfg.k), "samples": cfg.sector_samples},
+            {"theta": th, "gamma": gam},
         )
     ]
 
@@ -311,28 +309,46 @@ def check_lhp_containment(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[
     ]
 
 
+def _ratio_grid(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points w at which the ratio_bound suite evaluates the sector ratio
+    for half-angle alpha: radii (i + 1/2)/100 at 100 angles from -alpha to
+    alpha, then the two corners (cos(alpha), +-sin(alpha)), where the ratio
+    attains its supremum 1/(1 - 2 sin(alpha/2)).  Off the corners every
+    radius stays below 1, so no grid point rounds onto v = (1, 0)."""
+    rho = (np.arange(100) + 0.5) / 100
+    beta = np.linspace(-alpha, alpha, 100)
+    c, s = math.cos(alpha), math.sin(alpha)
+    return np.append(np.outer(rho, np.cos(beta)), (c, c)), np.append(np.outer(rho, np.sin(beta)), (s, -s))
+
+
 def check_ratio_bound(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
+    """|uw| / (|uv| - |vw|) <= 1/(1 - 2 sin(alpha/2)) over the sector of
+    half-angle alpha, on a fixed grid through the corner that attains the
+    bound, at three fixed angles and at the greedy hop's own angle
+    pi/4 + 2pi/k, where the bound is tau(k)."""
     tol = cfg.tolerance
-    rng = np.random.default_rng(cfg.seed)
+    cases = [(f"pi_{d}", math.pi / d, 1.0 / (1.0 - 2.0 * math.sin(math.pi / d / 2.0))) for d in (12, 6, 4)]
+    cases.append(("greedy", math.pi / 4 + 2.0 * math.pi / cfg.k, tau_bound(cfg.k)))
     results = []
-    for label, alpha in (("pi_12", math.pi / 12), ("pi_6", math.pi / 6), ("pi_4", math.pi / 4)):
-        bound = 1.0 / (1.0 - 2.0 * math.sin(alpha / 2.0))
-        beta = rng.uniform(-alpha, alpha, cfg.ratio_samples)
-        rho = np.sqrt(1.0 - rng.random(cfg.ratio_samples))  # radius in (0, 1]
-        wx, wy = rho * np.cos(beta), rho * np.sin(beta)
+    for label, alpha, bound in cases:
+        wx, wy = _ratio_grid(alpha)
         ratio, valid = sector_ratios(wx, wy)
         invalid = np.flatnonzero(~valid)
         worst = float(ratio[valid].max(initial=0.0))
+        corners = ratio[-2:]
+        reached = bool(np.all(np.abs(corners - bound) <= bound * tol))
         results.append(
             CheckResult(
                 f"ratio_bound_{label}",
-                not invalid.size and worst <= bound * (1.0 + tol),
+                not invalid.size and worst <= bound * (1.0 + tol) and reached,
                 tol,
                 {
                     "alpha": alpha,
                     "bound": bound,
                     "max_ratio": worst,
-                    # a sample outside the ratio's validity conditions
+                    "corner_ratios": corners.tolist(),
+                    "points": wx.size,
+                    # a grid point outside the ratio's validity conditions
                     "invalid_witness": [float(wx[invalid[0]]), float(wy[invalid[0]])] if invalid.size else None,
                 },
             )

@@ -28,6 +28,7 @@ from conespan.geometry import (
     polar_angle,
     HALF_PI,
     _dilation,
+    _in_trapezoid_arr,
     on_critical_arc,
     scale_to_hit,
     theta,
@@ -215,6 +216,38 @@ def trapezoid_contains(th: float, x: float, y: float, scale: float = 1.0, closed
         and x * x + y * y < s * s
         and (x - s) * (x - s) + y * y < s * s
     )
+
+
+def covers_sector_check(th: float, gam: float, n_samples: int, seed: int) -> bool:
+    """Sampled test that two mirrored trapezoid copies cover the unit sector:
+    the oracle for the closed-form criterion of ``verify.check_sector_cover``.
+
+    The sector is the interior of D(o,1) cut to directions (0, gam); the two
+    copies are the shape itself and its mirror rotated to hang from the upper
+    sector boundary.  Requires 2*theta >= gamma >= pi/2 and theta in
+    [pi/4, pi/3).
+    """
+    if not (math.pi / 4 <= th < math.pi / 3):
+        raise GeometryError(f"theta must lie in [pi/4, pi/3), got {th}")
+    if not (HALF_PI <= gam <= 2.0 * th):
+        raise GeometryError(f"gamma must satisfy pi/2 <= gamma <= 2*theta, got gamma={gam}, theta={th}")
+    if n_samples < 1:
+        raise GeometryError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    u = rng.random(n_samples)
+    phi = gam * u
+    r = np.sqrt(1.0 - rng.random(n_samples))  # area-uniform, radius in (0, 1]
+    interior = (u > 0.0) & (r < 1.0)  # drop measure-zero boundary draws
+    x = r * np.cos(phi)
+    y = r * np.sin(phi)
+    in_first = _in_trapezoid_arr(th, x, y)
+    # second copy: rotate by -gamma, then mirror across the x-axis
+    cg = math.cos(gam)
+    sg = math.sin(gam)
+    xr = cg * x + sg * y
+    yr = sg * x - cg * y
+    in_second = _in_trapezoid_arr(th, xr, yr)
+    return bool(np.all(in_first[interior] | in_second[interior]))
 
 
 def oracle_all_pairs_dist(points: list[Point], pairs: set[tuple[int, int]]) -> np.ndarray:

@@ -24,7 +24,6 @@ from conespan.geometry import (
     HitPart,
     Point,
     TrapezoidFrame,
-    covers_sector_check,
     dist,
     gamma,
     lhp_containment_check,
@@ -38,7 +37,7 @@ from conespan.paths import (
     ty_descent_path,
 )
 from conespan.pointgen import GenKind, GenSpec, gen_points
-from conftest import bisect_first_contact, brute_force_stretch, ratio_oracle
+from conftest import bisect_first_contact, brute_force_stretch, covers_sector_check, ratio_oracle
 
 REL_TOL = 1e-9
 

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from conespan.build import ConeGraph, Family, as_point_array, build_yao, build_yao_yao, edge_array
 from conespan.geometry import GeometryError, Point
+from conespan.verify import _ratio_grid
 from conftest import brute_force_stretch, oracle_all_pairs_dist, random_points, ratio_oracle
 
 # frozen 50-digit evaluations of the closed forms (mpmath, dps=50)
@@ -483,11 +484,7 @@ class TestSectorRatios:
 
     @pytest.mark.parametrize("alpha", [math.pi / 12, math.pi / 6, math.pi / 4])
     def test_max_equals_scalar_oracle(self, alpha):
-        # the samples check_ratio_bound draws, at its default count
-        rng = np.random.default_rng(3)
-        beta = rng.uniform(-alpha, alpha, 10_000)
-        rho = np.sqrt(1.0 - rng.random(10_000))
-        wx, wy = rho * np.cos(beta), rho * np.sin(beta)
+        wx, wy = _ratio_grid(alpha)  # the grid check_ratio_bound evaluates
         ratio, valid = sector_ratios(wx, wy)
         assert valid.all()
         scalar = [ratio_oracle(self.U, self.V, Point(x, y), 1.0) for x, y in zip(wx.tolist(), wy.tolist())]

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conespan import verify
+from conespan.analysis import tau_bound
 from conespan.build import build_oy, build_ty
 from conespan.cli import _build_parser, _config_from_args, main
 from conespan.fileio import read_points, write_points
@@ -198,8 +199,7 @@ class TestVerify:
     def test_default_suite_passes(self, workspace):
         tmp_path, pts = workspace
         rep = tmp_path / "verify.json"
-        code = run("verify", "--k", "30", "--in", str(pts), "--sector-samples", "20000",
-                   "--ratio-samples", "2000", "--out", str(rep))
+        code = run("verify", "--k", "30", "--in", str(pts), "--out", str(rep))
         assert code == 0
         report = json.loads(rep.read_text())
         assert report["passed"] is True
@@ -238,8 +238,7 @@ class TestVerify:
         tmp_path, pts = workspace
         ty_f = tmp_path / "ty.json"
         assert run("build", "--family", "ty", "--k", "30", "--in", str(pts), "--out", str(ty_f)) == 0
-        code = run("verify", "--k", "30", "--in", str(pts), "--sector-samples", "20000",
-                   "--ratio-samples", "2000", "--edges-ty", str(ty_f))
+        code = run("verify", "--k", "30", "--in", str(pts), "--edges-ty", str(ty_f))
         assert code == 0
 
     def test_loaded_edges_with_extra_edges_fail_construction(self, tmp_path):
@@ -256,8 +255,7 @@ class TestVerify:
         loaded = tmp_path / "ty_extra.json"
         loaded.write_text(json.dumps(records))
         rep = tmp_path / "rep.json"
-        code = run("verify", "--k", "30", "--n", "80", "--seed", "1", "--sector-samples", "20000",
-                   "--ratio-samples", "2000", "--edges-ty", str(loaded), "--out", str(rep))
+        code = run("verify", "--k", "30", "--n", "80", "--seed", "1", "--edges-ty", str(loaded), "--out", str(rep))
         assert code == 1
         checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
         assert [name for name, c in checks.items() if not c["passed"]] == ["matches_construction_ty"]
@@ -346,7 +344,7 @@ class TestVerify:
             return ratio, valid
 
         sector_ratios = verify.sector_ratios
-        cfg = RunConfig(k=30, ratio_samples=50)
+        cfg = RunConfig(k=30)
         passed = verify.check_ratio_bound(cfg, {})
         assert all(c.passed and c.details["invalid_witness"] is None for c in passed)
         monkeypatch.setattr(verify, "sector_ratios", with_invalid_sample)
@@ -407,17 +405,47 @@ class TestVerify:
         assert run("verify", "--k", "30", "--in", str(pts), "--suite", suite) == 2
         assert "no suite selected" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag,value",
-        [("--ratio-samples", "0"), ("--sector-samples", "0"), ("--ratio-samples", "-5"), ("--sector-samples", "-1")],
-    )
-    def test_sample_count_below_one_config_error(self, workspace, flag, value, capsys, monkeypatch):
-        # rejected before any graph is built: 0 ratio samples passed every
-        # ratio_bound check with max_ratio 0.0
+    def test_sample_flags_are_unknown_arguments(self, workspace, capsys):
+        # sector_cover and ratio_bound decide without sampling
         _, pts = workspace
-        monkeypatch.setattr(verify, "_get_graphs", lambda *_: pytest.fail("graphs built before validation"))
-        assert run("verify", "--k", "30", "--in", str(pts), "--suite", "ratio_bound,sector_cover", flag, value) == 2
-        assert flag[2:].replace("-", "_") + " must be >= 1" in capsys.readouterr().err
+        for flag in ("--sector-samples", "--ratio-samples"):
+            assert run("verify", "--k", "30", "--in", str(pts), flag, "20000") == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_broken_cover_precondition_fails_sector_cover(self, workspace, monkeypatch, capsys):
+        # the sampler raised GeometryError here, which exited 2 as a config error
+        tmp_path, pts = workspace
+        monkeypatch.setattr(verify, "gamma", lambda k: 2.0 * verify.theta(k) + 2.0 * math.pi / k)
+        rep = tmp_path / "rep.json"
+        assert run("verify", "--k", "30", "--in", str(pts), "--suite", "sector_cover", "--out", str(rep)) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        [check] = json.loads(rep.read_text())["checks"]
+        assert check["name"] == "sector_cover" and not check["passed"]
+        assert check["details"] == {"theta": verify.theta(30), "gamma": 2.0 * verify.theta(30) + 2.0 * math.pi / 30}
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    def test_sector_and_ratio_suites_pass_for_every_seed(self, k):
+        def records(seed):
+            cfg = RunConfig(k=k, seed=seed)
+            return verify.check_sector_cover(cfg, {}) + verify.check_ratio_bound(cfg, {})
+
+        checks = records(1)
+        assert records(23000) == checks
+        assert [c.name for c in checks] == [
+            "sector_cover", "ratio_bound_pi_12", "ratio_bound_pi_6", "ratio_bound_pi_4", "ratio_bound_greedy",
+        ]
+        assert all(c.passed for c in checks)
+        greedy = checks[-1].details
+        assert greedy["alpha"] == math.pi / 4 + 2.0 * math.pi / k and greedy["bound"] == tau_bound(k)
+        # the grid's maximum is the corner, which attains the bound
+        assert greedy["max_ratio"] == max(greedy["corner_ratios"])
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 + 1e-6], ids=["bound_too_low", "corner_misses_bound"])
+    def test_ratio_bound_greedy_fails_on_a_wrong_bound(self, scale, monkeypatch):
+        monkeypatch.setattr(verify, "tau_bound", lambda k: scale * tau_bound(k))
+        checks = {c.name: c.passed for c in verify.check_ratio_bound(RunConfig(k=30), {})}
+        assert checks == {"ratio_bound_pi_12": True, "ratio_bound_pi_6": True, "ratio_bound_pi_4": True,
+                          "ratio_bound_greedy": False}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_config_error(self, workspace, value, capsys, monkeypatch):

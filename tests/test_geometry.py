@@ -13,7 +13,6 @@ from conespan.geometry import (
     Point,
     TrapezoidFrame,
     cone_index,
-    covers_sector_check,
     _dilation,
     gamma,
     lhp_containment_check,
@@ -23,7 +22,8 @@ from conespan.geometry import (
     theta,
     to_local,
 )
-from conftest import bisect_first_contact, trapezoid_contains
+from conespan.verify import RunConfig, check_sector_cover
+from conftest import bisect_first_contact, covers_sector_check, trapezoid_contains
 
 finite_angles = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 
@@ -288,6 +288,15 @@ class TestCoversSector:
     @pytest.mark.parametrize("k", [26, 27, 32, 41, 56, 77, 100])
     def test_construction_pairs(self, k):
         assert covers_sector_check(theta(k), gamma(k), 20_000, seed=k)
+
+    def test_suite_criterion_against_sampler_and_integer_rule(self):
+        # check_sector_cover compares the floats theta and gamma return;
+        # doubling is exact, so it decides ceil(k/4) <= 2 ceil(k/8)
+        for k in range(25, 10_001):
+            passed = check_sector_cover(RunConfig(k=k), {})[0].passed
+            assert passed == (-(-k // 4) <= 2 * -(-k // 8)), k
+            if k <= 400:
+                assert passed and covers_sector_check(theta(k), gamma(k), 20_000, seed=k), k
 
 
 class TestLhpContainment:
