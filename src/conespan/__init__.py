@@ -47,8 +47,6 @@ from .geometry import (
     to_local,
 )
 from .paths import (
-    DescentConfigs,
-    DescentFrame,
     InvariantViolation,
     PathTrace,
     StepAudit,
@@ -65,8 +63,6 @@ from .render import render_svg
 __all__ = [
     "BoundTable",
     "ConeGraph",
-    "DescentConfigs",
-    "DescentFrame",
     "Family",
     "GenKind",
     "GenSpec",

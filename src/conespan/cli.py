@@ -10,8 +10,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import stretch_bound, stretch_factor
@@ -29,7 +30,6 @@ from .geometry import GeometryError
 from .paths import (
     InvariantViolation,
     _iter_descent_configs,
-    harvest_descent_configs,
     oy_greedy_path,
     ty_descent_path,
 )
@@ -191,6 +191,7 @@ def _cmd_path(args) -> int:
             raise ConfigError("ty path needs both --edge and --witness, or neither")
         ty = build_ty(points, args.k)
         oy = build_oy(points, args.k)
+        width = 2 * args.k  # cell = o * width + f in the first-contact table
         if args.edge is not None:
             try:
                 tail, head = (int(t) for t in args.edge.split(","))
@@ -198,21 +199,24 @@ def _cmd_path(args) -> int:
                 raise ConfigError("--edge must be 'tail,head'") from None
             if not ty.has_edge(tail, head):
                 raise ConfigError(f"{tail}->{head} is not a trapezoidal-Yao edge")
-            configs = harvest_descent_configs(ty, edge=(tail, head))
-            first = next(((frame, a) for frame, a in configs if a == args.witness), None)
-            if first is None:
+            # chunks come one per tail, in ascending order: harvest up to the edge's tail
+            chunks = (c for c in _iter_descent_configs(ty) if c[0, 0] // width >= tail)
+            rows = next(chunks, np.empty((0, 2), int))
+            cells, witnesses = rows.T
+            pick = (cells // width == tail) & (ty.ty_head.flat[cells] == head) & (witnesses == args.witness)
+            if not pick.any():
                 raise ConfigError(
                     f"no harvested descent placement for edge {args.edge} with witness {args.witness}"
                 )
-            frame, a = first
+            rows = rows[pick]
         else:
             # stops at the first tail with a configuration
-            first = next(chain.from_iterable(_iter_descent_configs(ty)), None)
-            if first is None:
+            rows = next(_iter_descent_configs(ty), None)
+            if rows is None:
                 raise ConfigError("no descent configuration exists on this point set")
-            frame, a = first
-        trace = ty_descent_path(ty, oy, frame, a)
-        header = f"ty descent a={a} -> o={frame.o} (local units)"
+        cell, a = rows[0].tolist()
+        trace = ty_descent_path(ty, oy, cell, a)
+        header = f"ty descent a={a} -> o={cell // width} (local units)"
     payload = {
         "tool": "conespan",
         "version": __version__,

@@ -17,7 +17,7 @@ at zero, which yields the descent length bound.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -140,18 +140,6 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
     return PathTrace(tuple(vertices), tuple(steps), acc)
 
 
-@dataclass(frozen=True)
-class DescentFrame:
-    """Placement of the unit trapezoid for the descent: row ``(o, f)`` of
-    build_ty's first-contact table, with ``f = reflected * k + orientation
-    index``.  The trapezoid's apex is vertex ``o``; its far bottom corner p
-    lies on the orientation ``f % k`` at the distance of the frame's first
-    hit ``ty_head[o, f]``, mirrored when ``f >= k``."""
-
-    o: int
-    f: int
-
-
 @cache
 def _grid_directions(k: int) -> np.ndarray:
     """Cosines (row 0) and sines (row 1) of the grid directions j*2*pi/k.
@@ -198,22 +186,24 @@ def _is_witness(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
 def ty_descent_path(
     ty: ConeGraph,
     oy: ConeGraph,
-    frame: DescentFrame,
+    cell: int,
     a: int,
 ) -> PathTrace:
-    """Descent path from witness ``a`` to apex ``frame.o`` through TY edges
-    and greedy OY subpaths; lengths are in frame-local units (|op| = 1).
+    """Descent path from witness ``a`` to the apex ``o`` of frame ``cell``
+    (``cell = o * 2k + f``, as the harvest names it) through TY edges and
+    greedy OY subpaths; lengths are in frame-local units (|op| = 1).
 
     Each growth step, a mirrored trapezoid grown from the current vertex
     toward the apex, is one of build_ty's frames, so its first hit and
     whether that hit is critical are read from the graph's first-contact
     table.  Preconditions (each named on violation): ``oy`` and ``ty`` share
-    the point set and parameter; the frame is a critical row of that table,
+    the point set and parameter; the frame is a critical cell of that table,
     so its first hit lies at distance |op| and the placed unit trapezoid is
     empty by construction; and in unit-local coordinates 0 < x_a < 1,
     y_a <= 0, 0 < phi(a->p) < pi/6.
     """
-    placement, ax, ay = _descent_start(ty, frame, a)
+    o, f0, placement, ax, ay = _descent_start(ty, cell, a)
+    a = int(a)
     if oy.family is not Family.OVERLAPPING_YAO:
         raise GeometryError(f"descent requires an overlapping-Yao graph, got {oy.family.value}")
     if oy.k != ty.k or not np.array_equal(oy.xy, ty.xy):
@@ -221,7 +211,6 @@ def ty_descent_path(
     k = ty.k
     tau = tau_bound(k)
     n = ty.n
-    o, f0 = frame.o, frame.f
     j0, reflected = f0 % k, f0 >= k
 
     xy = ty.xy
@@ -294,33 +283,35 @@ def ty_descent_path(
     return PathTrace(tuple(vertices), tuple(steps), total)
 
 
-def descent_length_bound(ty: ConeGraph, frame: DescentFrame, a: int) -> float:
+def descent_length_bound(ty: ConeGraph, cell: int, a: int) -> float:
     """Guaranteed ceiling x_a + (2*tau + 1)*|y_a| on the descent length, in
     the same frame-local units the trace reports, for a configuration that
     meets the descent's preconditions (see :func:`ty_descent_path`)."""
-    _, ax, ay = _descent_start(ty, frame, a)
+    *_, ax, ay = _descent_start(ty, cell, a)
     return phi_potential(Point(float(ax), float(ay)), 0.0, tau_bound(ty.k))
 
 
-def _descent_start(ty: ConeGraph, frame: DescentFrame, a: int):
-    """Placement of ``frame`` (as :func:`_placement`) and the unit-local
-    coordinates of ``a`` in it, after checking that the frame is a critical
-    row of ``ty``'s first-contact table and that ``a`` is a witness of it;
-    each violated condition is named."""
+def _descent_start(ty: ConeGraph, cell: int, a: int):
+    """Apex ``o`` and table column ``f`` of frame ``cell`` (as Python ints),
+    its placement (as :func:`_placement`) and the unit-local coordinates of
+    ``a`` in it, after checking that the cell is a critical cell of ``ty``'s
+    first-contact table and that ``a`` is a witness of it; each violated
+    condition is named."""
     if ty.family is not Family.TRAPEZOIDAL_YAO:
         raise GeometryError(f"descent requires a trapezoidal-Yao graph, got {ty.family.value}")
     if ty.ty_head is None:
         raise GeometryError("descent requires the trapezoidal-Yao first-contact table (ty_head)")
-    n = ty.n
-    o, f = frame.o, frame.f
-    if not (0 <= o < n and 0 <= a < n):
-        raise GeometryError(f"vertex index out of range: o={o}, a={a}, n={n}")
-    if a == o:
-        raise GeometryError("witness must differ from the apex")
     # a critical frame's first hit is at distance |op|, and a dilation is
     # never below distance, so no point enters the placed shape before it
-    if not (0 <= f < 2 * ty.k and ty.ty_critical[o, f]):
-        raise GeometryError(f"precondition failed: frame {f} of vertex {o} selected no trapezoidal-Yao edge")
+    cell = int(cell)
+    if not (0 <= cell < ty.ty_critical.size and ty.ty_critical.flat[cell]):
+        raise GeometryError(f"precondition failed: frame {cell} selected no trapezoidal-Yao edge")
+    o, f = divmod(cell, 2 * ty.k)
+    n = ty.n
+    if not 0 <= a < n:
+        raise GeometryError(f"vertex index out of range: a={a}, n={n}")
+    if a == o:
+        raise GeometryError("witness must differ from the apex")
     xy = ty.xy
     placement = _placement(ty, o, f)
     ax, ay = _to_local(xy[a, 0] - xy[o, 0], xy[a, 1] - xy[o, 1], *placement)
@@ -332,7 +323,7 @@ def _descent_start(ty: ConeGraph, frame: DescentFrame, a: int):
     phi_ap = np.arctan2(np.array([-ay]), np.array([1.0 - ax]))[0]
     if not (0.0 < phi_ap < math.pi / 6):
         raise GeometryError(f"precondition failed: 0 < phi(a->p) < pi/6 (got {phi_ap})")
-    return placement, ax, ay
+    return o, f, placement, ax, ay
 
 
 # Relative slack on the harvest's pruning radius: far above the few ulps by
@@ -347,159 +338,86 @@ _BLOCK = 1 << 12
 _PAIRS = 1 << 13
 
 
-class _FrameTable:
-    """The frames of a harvest, one row each: tail ``o`` and table column
-    ``f``.  A row's ``DescentFrame`` is built on first access and then shared
-    by every configuration of that frame."""
+def harvest_descent_configs(ty: ConeGraph) -> np.ndarray:
+    """Collect real descent configurations from a built trapezoidal-Yao
+    graph: for every edge and every frame that selected it, the placed
+    trapezoid is empty by construction, and every point meeting the witness
+    conditions in that placement qualifies.
 
-    __slots__ = ("_o", "_f", "_built")
-
-    def __init__(self, o: np.ndarray, f: np.ndarray):
-        self._o, self._f = o, f
-        self._built: list[DescentFrame | None] = [None] * len(o)
-
-    def frame(self, row: int) -> DescentFrame:
-        built = self._built[row]
-        if built is None:
-            built = DescentFrame(self._o[row].item(), self._f[row].item())
-            self._built[row] = built
-        return built
-
-
-class DescentConfigs(Sequence):
-    """Immutable sequence of harvested (DescentFrame, witness) configurations.
-
-    Stored as a frame table and, per configuration, two integer arrays: the
-    row of its frame in that table and its witness.  ``len`` is O(1); an
-    index, a slice (which gives a list) or iteration builds the tuples on
-    access, and the configurations of one frame share one ``DescentFrame``.
+    Returns an (m, 2) int32 array of ``(cell, witness)`` rows.  A frame is
+    named by its cell ``o * 2k + f`` in build_ty's (n, 2k) first-contact
+    table, so ``ty_head.flat[cell]`` is its first hit.  Rows come in edge
+    order (tail, then head), then in each edge's frame order, then by
+    witness index.  Each frame is tested only against the points within its
+    own |op| of its tail.  ``_iter_descent_configs`` yields the same rows
+    lazily, one tail at a time, for callers that walk only a prefix.
     """
-
-    __slots__ = ("_table", "_row", "_witness")
-
-    def __init__(self, table: _FrameTable, row: np.ndarray, witness: np.ndarray):
-        self._table, self._row, self._witness = table, row, witness
-
-    def __len__(self) -> int:
-        return len(self._row)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self._pairs(self._row[i], self._witness[i]))
-        return self._table.frame(int(self._row[i])), int(self._witness[i])
-
-    def __iter__(self) -> Iterator[tuple[DescentFrame, int]]:
-        return self._pairs(self._row, self._witness)
-
-    def _pairs(self, row: np.ndarray, witness: np.ndarray) -> Iterator[tuple[DescentFrame, int]]:
-        frame = self._table.frame
-        return ((frame(r), a) for r, a in zip(row.tolist(), witness.tolist()))
+    return np.concatenate([np.empty((0, 2), np.int32), *_iter_descent_configs(ty)])
 
 
-def harvest_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) -> DescentConfigs:
-    """Collect real (placement, witness) descent configurations from a built
-    trapezoidal-Yao graph: for every edge and every frame that selected it,
-    the placed trapezoid is empty by construction, and every point meeting
-    the witness conditions in that placement qualifies.
+def _iter_descent_configs(ty: ConeGraph) -> Iterator[np.ndarray]:
+    """The rows of :func:`harvest_descent_configs`, in its order, as one
+    chunk per tail vertex that has any, harvested as they are consumed.
 
-    Configurations come in edge order (tail, then head), then in each edge's
-    frame order, then by witness index; the configurations of one frame share
-    one ``DescentFrame``.  With ``edge`` given as (tail, head), only that
-    edge's frames are harvested.  Each frame is tested only against the
-    points within its own |op| of its tail.
-    ``_iter_descent_configs`` yields the same sequence lazily, one tail at a
-    time, for callers that walk only a prefix.
-    """
-    table, chunks = _harvest(ty, edge)
-    rows, witnesses = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for row, witness in chunks:
-        rows.append(row)
-        witnesses.append(witness)
-    # int32 halves what the finished harvest holds next to its chunks
-    return DescentConfigs(table, *(np.concatenate(col, dtype=np.int32) for col in (rows, witnesses)))
-
-
-def _iter_descent_configs(ty: ConeGraph, edge: tuple[int, int] | None = None) -> Iterator[DescentConfigs]:
-    """The configurations of :func:`harvest_descent_configs`, in its order,
-    as one chunk per tail vertex that has any, harvested as they are
-    consumed (a batch of consecutive tails at a time)."""
-    table, chunks = _harvest(ty, edge)
-    for row, witness in chunks:
-        yield DescentConfigs(table, row, witness)
-
-
-def _harvest(
-    ty: ConeGraph, edge: tuple[int, int] | None
-) -> tuple[_FrameTable, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The frame table of a harvest and a generator of its configurations'
-    (frame row, witness) arrays, one pair per tail vertex that has any.
-
-    The generator places frames a block of whole tails at a time, when it
-    reaches the block's first tail, and tests a batch of whole tails before
-    it yields their chunks, so a caller that stops after the first tails
-    places and tests only the blocks and batches they fall in."""
+    Frames are placed a block of whole tails at a time, when the walk
+    reaches the block's first tail, and a batch of whole tails is tested
+    before their chunks are yielded, so a caller that stops after the first
+    tails places and tests only the blocks and batches they fall in."""
     if ty.family is not Family.TRAPEZOIDAL_YAO or ty.ty_critical is None:
         raise GeometryError("harvest requires a trapezoidal-Yao graph built by build_ty")
     xy = ty.xy
-    critical = ty.ty_critical
-    if edge is not None:
-        t, h = edge
-        critical = np.zeros_like(critical)
-        critical[t] = ty.ty_critical[t] & (ty.ty_head[t] == h)
-    tails, fs = np.nonzero(critical)
-    heads = ty.ty_head[tails, fs]
-    # edge order, then frame order: np.nonzero lists each tail's frames in
+    cells = np.flatnonzero(ty.ty_critical)
+    # edge order, then frame order: flatnonzero lists each tail's frames in
     # order, and a stable sort keeps it
-    order = np.argsort(tails * ty.n + heads, kind="stable")
-    tails, fs = tails[order], fs[order]
-    table = _FrameTable(tails, fs)
+    order = np.argsort(cells // (2 * ty.k) * ty.n + ty.ty_head.flat[cells], kind="stable")
+    cells = cells[order]
+    tails, fs = np.divmod(cells, 2 * ty.k)
     bounds = np.flatnonzero(np.diff(tails, prepend=-1)).tolist() + [len(tails)]
 
-    def tested(pending, start, end, s, c, sn, flip) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def tested(pending, start, end, s, c, sn, flip) -> Iterator[np.ndarray]:
         # the witnesses among the screened pairs of consecutive whole tails,
         # in one pass, then one chunk per tail that has any
         los, rows, a, dx, dy = zip(*pending)
         rows, a, dx, dy = map(np.concatenate, (rows, a, dx, dy))
         ok = _is_witness(*_to_local(dx, dy, s[rows], c[rows], sn[rows], flip[rows]))
-        rows, a = rows[ok] + start, a[ok]
+        rows = rows[ok] + start
+        found = np.empty((len(rows), 2), np.int32)
+        found[:, 0], found[:, 1] = cells[rows], a[ok]
         cut = np.searchsorted(rows, los + (end,)).tolist()
         for x, y in zip(cut, cut[1:]):
             if y > x:
-                yield rows[x:y], a[x:y]
+                yield found[x:y]
 
-    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        start = end = 0  # placed frames: whole tails, at most _BLOCK unless one tail has more
-        pending, size = [], 0  # screened pairs of the tails not yet tested
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi > end:
-                start, end = lo, max(hi, bounds[np.searchsorted(bounds, lo + _BLOCK, "right") - 1])
-                placement = _placement(ty, tails[start:end], fs[start:end])
-                # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
-                # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest
-                # point from o is p, so only points within the frame's own
-                # |op| can qualify.  The screen compares squares: the absolute
-                # slack covers their rounding below the normal range, a reach
-                # whose square overflows passes every point, and a distance
-                # whose square overflows lies beyond every finite reach.
-                with np.errstate(over="ignore"):
-                    reach = (placement[0] * (1.0 + _REACH_REL)) ** 2 + 1e-300
-            t = tails[lo]
-            adx = xy[:, 0] - xy[t, 0]
-            ady = xy[:, 1] - xy[t, 1]
+    start = end = 0  # placed frames: whole tails, at most _BLOCK unless one tail has more
+    pending, size = [], 0  # screened pairs of the tails not yet tested
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > end:
+            start, end = lo, max(hi, bounds[np.searchsorted(bounds, lo + _BLOCK, "right") - 1])
+            placement = _placement(ty, tails[start:end], fs[start:end])
+            # A witness lies in the local triangle o, p, o + |op|*(0, -1/sqrt(3))
+            # (0 < x < 1, y <= 0, 0 < phi(a->p) < pi/6), whose farthest
+            # point from o is p, so only points within the frame's own
+            # |op| can qualify.  The screen compares squares: the absolute
+            # slack covers their rounding below the normal range, a reach
+            # whose square overflows passes every point, and a distance
+            # whose square overflows lies beyond every finite reach.
             with np.errstate(over="ignore"):
-                d = adx * adx + ady * ady
-            own = reach[lo - start : hi - start]
-            near = np.flatnonzero(d <= own.max())
-            near = near[near != t]
-            # (frame, point) pairs within the frame's reach, frame then point order
-            rows, cols = np.nonzero(d[near] <= own[:, None])
-            rows += lo - start
-            a = near[cols]
-            pending.append((lo, rows, a, adx[a], ady[a]))
-            size += len(a)
-            # test in batches of about _PAIRS pairs, and before the next placement
-            if size >= _PAIRS or hi == end:
-                yield from tested(pending, start, end, *placement)
-                pending, size = [], 0
-
-    return table, chunks()
+                reach = (placement[0] * (1.0 + _REACH_REL)) ** 2 + 1e-300
+        t = tails[lo]
+        adx = xy[:, 0] - xy[t, 0]
+        ady = xy[:, 1] - xy[t, 1]
+        with np.errstate(over="ignore"):
+            d = adx * adx + ady * ady
+        own = reach[lo - start : hi - start]
+        near = np.flatnonzero(d <= own.max())
+        near = near[near != t]
+        # (frame, point) pairs within the frame's reach, frame then point order
+        rows, cols = np.nonzero(d[near] <= own[:, None])
+        rows += lo - start
+        a = near[cols]
+        pending.append((lo, rows, a, adx[a], ady[a]))
+        size += len(a)
+        # test in batches of about _PAIRS pairs, and before the next placement
+        if size >= _PAIRS or hi == end:
+            yield from tested(pending, start, end, *placement)
+            pending, size = [], 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, islice
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Shared configuration for CLI runs, and the one home of their
     defaults: cone parameter, point source (generator spec or input file),
-    suite toggles, the descent-config cap, and tolerance overrides."""
+    suite toggles and tolerance overrides.  The descent-config cap is a
+    class constant, not a field."""
 
     k: int = 30
     n: int = 100
@@ -53,7 +55,7 @@ class RunConfig:
     input_path: str | None = None
     suites: tuple[str, ...] = ("all",)
     tolerance: float = 1e-9
-    max_descent_configs: int = 300
+    max_descent_configs: ClassVar[int] = 300
     edge_files: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -68,8 +70,6 @@ class RunConfig:
         unknown = [s for s in self.suites if s != "all" and s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown} (choose from {SUITES})")
-        if self.max_descent_configs < 1:
-            raise ConfigError(f"max_descent_configs must be >= 1, got {self.max_descent_configs}")
 
     def genspec(self) -> GenSpec:
         try:
@@ -216,18 +216,21 @@ def check_stretch_bounds(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[C
 
 def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckResult]:
     tol = cfg.tolerance
+    ty, oy = graphs["ty"], graphs["oy"]
     # harvest lazily: only the tails of the configs walked are harvested
-    configs = list(islice(chain.from_iterable(_iter_descent_configs(graphs["ty"])), cfg.max_descent_configs))
+    rows = chain.from_iterable(map(np.ndarray.tolist, _iter_descent_configs(ty)))
+    configs = list(islice(rows, cfg.max_descent_configs))
     worst_dphi = -math.inf
     worst_slack = math.inf
     failures = []
-    for frame, a in configs:
+    for cell, a in configs:
+        o = cell // (2 * ty.k)
         try:
-            trace = ty_descent_path(graphs["ty"], graphs["oy"], frame, a)
+            trace = ty_descent_path(ty, oy, cell, a)
         except InvariantViolation as exc:
-            failures.append({"o": frame.o, "a": a, "message": str(exc)})
+            failures.append({"o": o, "a": a, "message": str(exc)})
             continue
-        bound = descent_length_bound(graphs["ty"], frame, a)
+        bound = descent_length_bound(ty, cell, a)
         slack = bound - trace.total_length
         worst_slack = min(worst_slack, slack)
         for step in trace.steps:
@@ -235,7 +238,7 @@ def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckR
         if trace.total_length > bound + tol or any(
             s.phi_after > s.phi_before + tol for s in trace.steps
         ):
-            failures.append({"o": frame.o, "a": a, "length": trace.total_length, "bound": bound})
+            failures.append({"o": o, "a": a, "length": trace.total_length, "bound": bound})
     return [
         CheckResult(
             "potential_monotonicity",

@@ -34,7 +34,7 @@ from conespan.geometry import (
     theta,
     HitPart,
 )
-from conespan.paths import DescentFrame, InvariantViolation, StepKind, oy_greedy_path
+from conespan.paths import InvariantViolation, StepKind, oy_greedy_path
 
 
 def random_points(n: int, seed: int, scale: float = 1.0) -> list[Point]:
@@ -376,38 +376,39 @@ def bisect_first_contact(th: float, x: float, y: float, iters: int = 100) -> flo
     return hi
 
 
-def oracle_local_coords(ty: ConeGraph, frame: DescentFrame) -> tuple[np.ndarray, float]:
+def oracle_local_coords(ty: ConeGraph, cell: int) -> tuple[np.ndarray, float]:
     """Unit-local coordinates of all points (apex at origin, p at (1,0)) in
-    the placement of table row ``(frame.o, frame.f)``: p lies on orientation
-    ``f % k`` at the distance of the row's first hit, mirrored for f >= k."""
+    the placement of table cell ``o * 2k + f``: p lies on orientation
+    ``f % k`` at the distance of the cell's first hit, mirrored for f >= k."""
     k = ty.k
     xy = ty.xy
-    o = frame.o
+    o, f = divmod(int(cell), 2 * k)
     ox, oy = xy[o]
-    hx, hy = xy[ty.ty_head[o, frame.f]]
+    hx, hy = xy[ty.ty_head[o, f]]
     # numpy's hypot, as the descent's: math.hypot differs from it in the
     # last bit on about 0.6 % of inputs, and the walks are compared exactly
     s = float(np.hypot(hx - ox, hy - oy))
-    orient = (frame.f % k) * (TWO_PI / k)
+    orient = (f % k) * (TWO_PI / k)
     c = math.cos(orient)
     sn = math.sin(orient)
     dx = xy[:, 0] - ox
     dy = xy[:, 1] - oy
     lx = (c * dx + sn * dy) / s
     ly = (-sn * dx + c * dy) / s
-    if frame.f >= k:
+    if f >= k:
         ly = -ly
     return np.column_stack([lx, ly]), s
 
 
-def oracle_harvest(ty) -> list[tuple[DescentFrame, int]]:
-    """Per-frame harvest reference: every selection frame maps all points to
-    its local coordinates and tests the witness conditions on each."""
-    configs: list[tuple[DescentFrame, int]] = []
+def oracle_harvest(ty) -> np.ndarray:
+    """Per-frame harvest reference, as (cell, witness) rows in the harvest's
+    (m, 2) int32 form: every selection frame maps all points to its local
+    coordinates and tests the witness conditions on each."""
+    configs: list[tuple[int, int]] = []
     for (t, _), frame_list in sorted(ty.ty_frames.items()):
         for j, reflected in frame_list:
-            frame = DescentFrame(t, reflected * ty.k + j)
-            local, _ = oracle_local_coords(ty, frame)
+            cell = t * 2 * ty.k + reflected * ty.k + j
+            local, _ = oracle_local_coords(ty, cell)
             lx = local[:, 0]
             ly = local[:, 1]
             phi_ap = np.arctan2(-ly, 1.0 - lx)
@@ -419,9 +420,8 @@ def oracle_harvest(ty) -> list[tuple[DescentFrame, int]]:
                 & (phi_ap < math.pi / 6)
             )
             ok[t] = False
-            for a in np.flatnonzero(ok):
-                configs.append((frame, int(a)))
-    return configs
+            configs.extend((cell, int(a)) for a in np.flatnonzero(ok))
+    return np.array(configs, np.int32).reshape(-1, 2)
 
 
 def oracle_first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float) -> tuple[int, float, float]:
@@ -437,19 +437,20 @@ def oracle_first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float)
     return win, float(lam[win]), float(r[win])
 
 
-def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, frame: DescentFrame, a: int):
+def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, cell: int, a: int):
     """Reference trapezoid descent that finds each growth step by first
     contact over all points in the frame's unit-local coordinates instead of
     reading build_ty's table.  Returns the vertex walk and the (kind, length,
     psi) of each step; raises InvariantViolation where a critical-arc hit is
     not a trapezoidal-Yao edge."""
-    local, scale = oracle_local_coords(ty, frame)
+    local, scale = oracle_local_coords(ty, cell)
+    o = int(cell) // (2 * ty.k)
     sin_th = math.sin(theta(ty.k))
     grid = TWO_PI / ty.k
     vertices, steps, cur = [a], [], a
     for _ in range(ty.n):
         phi_uo = normalize_angle(math.atan2(-local[cur, 1], -local[cur, 0]))
-        if cur == frame.o or phi_uo <= 5.0 * math.pi / 6.0:
+        if cur == o or phi_uo <= 5.0 * math.pi / 6.0:
             break
         j = int(phi_uo / grid)
         while j * grid <= phi_uo:
@@ -467,8 +468,8 @@ def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, frame: DescentFrame, a: in
         cur = win
     else:
         raise InvariantViolation(f"oracle descent from {a} exceeded {ty.n} iterations")
-    if cur != frame.o:
-        sub = oy_greedy_path(oy, cur, frame.o)
+    if cur != o:
+        sub = oy_greedy_path(oy, cur, o)
         steps.append((StepKind.FINAL_OY_SUBPATH, sub.total_length / scale, None))
         vertices.extend(sub.vertices[1:])
     return tuple(vertices), steps

@@ -194,9 +194,9 @@ def test_criterion_5_path_algorithms():
         pts = uniform_set(60, 100 + seed)
         ty = build_ty(pts, k)
         oy = build_oy(pts, k)
-        for frame, a in harvest_descent_configs(ty):
-            tr = ty_descent_path(ty, oy, frame, a)
-            bound = descent_length_bound(ty, frame, a)
+        for cell, a in harvest_descent_configs(ty):
+            tr = ty_descent_path(ty, oy, cell, a)
+            bound = descent_length_bound(ty, cell, a)
             assert tr.total_length <= bound + REL_TOL
             for s in tr.steps:
                 assert s.phi_after <= s.phi_before + REL_TOL

@@ -14,8 +14,6 @@ from conespan.build import build_oy, build_ty, build_yao
 from conespan.geometry import TWO_PI, GeometryError, Point, dist, theta
 from conespan.pointgen import GenKind, GenSpec, gen_points
 from conespan.paths import (
-    DescentConfigs,
-    DescentFrame,
     InvariantViolation,
     StepKind,
     _iter_descent_configs,
@@ -160,8 +158,8 @@ class TestSharedPointSet:
         ty, oy = build_ty(pts, 30), build_oy(pts, 30)
         oy_fresh = build_oy(fresh, 30)
         assert subgraph_check(oy_fresh, ty)[0]
-        frame, a = harvest_descent_configs(ty)[0]
-        assert ty_descent_path(ty, oy_fresh, frame, a) == ty_descent_path(ty, oy, frame, a)
+        cell, a = harvest_descent_configs(ty)[0]
+        assert ty_descent_path(ty, oy_fresh, cell, a) == ty_descent_path(ty, oy, cell, a)
         for u, v in ((0, 59), (17, 3), (42, 8)):
             assert oy_greedy_path(oy_fresh, u, v) == oy_greedy_path(oy, u, v)
         for other in (moved, pts[::-1]):
@@ -169,7 +167,7 @@ class TestSharedPointSet:
             with pytest.raises(GeometryError, match="identical point sequences"):
                 subgraph_check(oy_other, ty)
             with pytest.raises(GeometryError, match="share the point set"):
-                ty_descent_path(ty, oy_other, frame, a)
+                ty_descent_path(ty, oy_other, cell, a)
 
 
 class TestTyDescentPath:
@@ -181,120 +179,122 @@ class TestTyDescentPath:
     def test_bound_and_monotonicity(self, setup):
         pts, ty, oy = setup
         configs = harvest_descent_configs(ty)
-        assert configs
-        for frame, a in configs[:150]:
-            tr = ty_descent_path(ty, oy, frame, a)
-            bound = descent_length_bound(ty, frame, a)
+        assert len(configs)
+        for cell, a in configs[:150]:
+            tr = ty_descent_path(ty, oy, cell, a)
+            bound = descent_length_bound(ty, cell, a)
             assert tr.total_length <= bound + TOL
             for s in tr.steps:
                 assert s.phi_after <= s.phi_before + TOL
-            assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
+            assert tr.vertices[0] == a and tr.vertices[-1] == cell // (2 * ty.k)
 
     def test_final_potential_zero(self, setup):
         pts, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
-        tr = ty_descent_path(ty, oy, frame, a)
+        cell, a = harvest_descent_configs(ty)[0]
+        tr = ty_descent_path(ty, oy, cell, a)
         assert tr.steps[-1].phi_after == pytest.approx(0.0, abs=1e-9)
 
     def test_psi_range_on_growth_steps(self, setup):
         pts, ty, oy = setup
-        for frame, a in harvest_descent_configs(ty)[:150]:
-            tr = ty_descent_path(ty, oy, frame, a)
+        for cell, a in harvest_descent_configs(ty)[:150]:
+            tr = ty_descent_path(ty, oy, cell, a)
             for s in tr.steps:
                 if s.kind in (StepKind.DIRECT_TY_EDGE, StepKind.OY_SUBPATH):
                     assert 5 * math.pi / 6 < s.psi <= math.pi
 
     def test_intermediates_stay_in_lower_half_plane(self, setup):
         pts, ty, oy = setup
-        for frame, a in harvest_descent_configs(ty)[:150]:
-            tr = ty_descent_path(ty, oy, frame, a)
-            local, _ = oracle_local_coords(ty, frame)
+        for cell, a in harvest_descent_configs(ty)[:150]:
+            tr = ty_descent_path(ty, oy, cell, a)
+            local, _ = oracle_local_coords(ty, cell)
             for vtx in tr.vertices:
                 assert local[vtx, 1] <= TOL
 
     def test_every_edge_shorter_than_oa(self, setup):
         pts, ty, oy = setup
-        for frame, a in harvest_descent_configs(ty)[:150]:
-            tr = ty_descent_path(ty, oy, frame, a)
-            d_oa = dist(pts[frame.o], pts[a])
+        for cell, a in harvest_descent_configs(ty)[:150]:
+            tr = ty_descent_path(ty, oy, cell, a)
+            d_oa = dist(pts[cell // (2 * ty.k)], pts[a])
             for x, y in zip(tr.vertices, tr.vertices[1:]):
                 assert dist(pts[x], pts[y]) <= d_oa * (1 + TOL)
 
     def test_edges_certified_by_graphs(self, setup):
         pts, ty, oy = setup
-        for frame, a in harvest_descent_configs(ty)[:150]:
-            tr = ty_descent_path(ty, oy, frame, a)
+        for cell, a in harvest_descent_configs(ty)[:150]:
+            tr = ty_descent_path(ty, oy, cell, a)
             for x, y in zip(tr.vertices, tr.vertices[1:]):
                 assert ty.has_edge(x, y) or oy.has_edge(x, y)
 
     def test_total_is_sum_of_steps(self, setup):
         pts, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[5]
-        tr = ty_descent_path(ty, oy, frame, a)
+        cell, a = harvest_descent_configs(ty)[5]
+        tr = ty_descent_path(ty, oy, cell, a)
         assert tr.total_length == pytest.approx(sum(s.length for s in tr.steps), rel=1e-9)
 
     def test_witness_precondition_errors(self, setup):
         pts, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
+        cell, a = harvest_descent_configs(ty)[0]
+        o = cell // (2 * ty.k)
         with pytest.raises(GeometryError, match="witness"):
-            ty_descent_path(ty, oy, frame, frame.o)
+            ty_descent_path(ty, oy, cell, o)
         # a vertex on the wrong side of the frame violates a named clause
-        local, _ = oracle_local_coords(ty, frame)
+        local, _ = oracle_local_coords(ty, cell)
         bad = next(
             i
             for i in range(len(pts))
-            if i not in (frame.o, a) and not (0.0 < local[i, 0] < 1.0 and local[i, 1] <= 0.0)
+            if i not in (o, a) and not (0.0 < local[i, 0] < 1.0 and local[i, 1] <= 0.0)
         )
         with pytest.raises(GeometryError, match="precondition failed"):
-            ty_descent_path(ty, oy, frame, bad)
+            ty_descent_path(ty, oy, cell, bad)
 
     def test_mismatched_graphs_rejected(self, setup):
         pts, ty, oy = setup
         other = build_oy(random_points(60, 8), 30)
-        frame, a = harvest_descent_configs(ty)[0]
+        cell, a = harvest_descent_configs(ty)[0]
         with pytest.raises(GeometryError, match="share"):
-            ty_descent_path(ty, other, frame, a)
+            ty_descent_path(ty, other, cell, a)
 
     def test_non_critical_frame_rejected(self, setup):
         # a frame that selected no edge has no certified empty placement,
         # whether it hit a point off the critical arc or none at all
         pts, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
+        cell, a = harvest_descent_configs(ty)[0]
         open_rows = np.argwhere(~ty.ty_critical)
         hit = ty.ty_head[tuple(open_rows.T)] >= 0
         assert hit.any() and not hit.all()
-        rows = [(frame.o, f) for f in np.flatnonzero(~ty.ty_critical[frame.o]).tolist()]
+        apex = cell // (2 * ty.k)
+        rows = [(apex, f) for f in np.flatnonzero(~ty.ty_critical[apex]).tolist()]
         rows += [(o, f) for o, f in open_rows[[np.argmax(hit), np.argmax(~hit)]].tolist()]
         for o, f in rows:
-            witness = a if o == frame.o else (o + 1) % ty.n
+            witness = a if o == apex else (o + 1) % ty.n
             with pytest.raises(GeometryError, match="precondition failed: frame"):
-                ty_descent_path(ty, oy, DescentFrame(o, f), witness)
+                ty_descent_path(ty, oy, o * 2 * ty.k + f, witness)
 
     @pytest.mark.parametrize(
-        "column",
-        [lambda f, k: -1, lambda f, k: f - 2 * k, lambda f, k: 2 * k, lambda f, k: f + 2 * k],
+        "outside",
+        [lambda c, size: -1, lambda c, size: c - size, lambda c, size: size, lambda c, size: c + size],
         ids=["minus_one", "wrapped_below", "two_k", "wrapped_above"],
     )
-    def test_frame_out_of_range_rejected(self, setup, column):
-        # f indexes the table's 2k columns: a column 2k below or above a
-        # critical one must not stand for it
+    def test_frame_out_of_range_rejected(self, setup, outside):
+        # a cell indexes the table's n * 2k cells: a cell n * 2k below a
+        # critical one, which flat indexing would wrap onto it, or n * 2k
+        # above it must not stand for it
         pts, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
-        f = column(frame.f, ty.k)
+        cell, a = harvest_descent_configs(ty)[0]
         with pytest.raises(GeometryError, match="precondition failed: frame"):
-            ty_descent_path(ty, oy, DescentFrame(frame.o, f), a)
+            ty_descent_path(ty, oy, outside(int(cell), ty.ty_critical.size), a)
 
     def test_both_chiralities_harvested_and_walkable(self, setup):
         pts, ty, oy = setup
         configs = harvest_descent_configs(ty)
         by_refl = {False: None, True: None}
-        for frame, a in configs:
-            if by_refl[frame.f >= ty.k] is None:
-                by_refl[frame.f >= ty.k] = (frame, a)
+        for cell, a in configs:
+            if by_refl[cell % (2 * ty.k) >= ty.k] is None:
+                by_refl[cell % (2 * ty.k) >= ty.k] = (cell, a)
         assert by_refl[False] is not None and by_refl[True] is not None
-        for frame, a in by_refl.values():
-            tr = ty_descent_path(ty, oy, frame, a)
-            assert tr.vertices[-1] == frame.o
+        for cell, a in by_refl.values():
+            tr = ty_descent_path(ty, oy, cell, a)
+            assert tr.vertices[-1] == cell // (2 * ty.k)
 
     def test_all_step_kinds_reachable(self):
         # across a few seeds the harvest exercises every labeled step kind
@@ -303,8 +303,8 @@ class TestTyDescentPath:
             pts = random_points(60, seed)
             ty = build_ty(pts, 30)
             oy = build_oy(pts, 30)
-            for frame, a in harvest_descent_configs(ty)[:300]:
-                tr = ty_descent_path(ty, oy, frame, a)
+            for cell, a in harvest_descent_configs(ty)[:300]:
+                tr = ty_descent_path(ty, oy, cell, a)
                 seen.update(s.kind for s in tr.steps)
         assert StepKind.DIRECT_TY_EDGE in seen
         assert StepKind.OY_SUBPATH in seen
@@ -324,8 +324,8 @@ class TestTyDescentPath:
         assert selected == {win} == {ty.ty_head[0, k + 2]} == {1}
 
 
-def _length_bound(ty, oy, frame, a):
-    return descent_length_bound(ty, frame, a)
+def _length_bound(ty, oy, cell, a):
+    return descent_length_bound(ty, cell, a)
 
 
 # both entry points check a configuration's start conditions alike
@@ -336,22 +336,23 @@ START_CHECKED = pytest.mark.parametrize(
 
 class TestDescentStart:
     @START_CHECKED
-    @pytest.mark.parametrize("column", [lambda f, k: -1, lambda f, k: 2 * k], ids=["minus_one", "two_k"])
-    def test_frame_out_of_range_rejected(self, setup, call, column):
-        # -1 would wrap to the table's last column (a bound of 13.55 here)
+    @pytest.mark.parametrize("outside", [lambda size: -1, lambda size: size], ids=["minus_one", "two_k"])
+    def test_frame_out_of_range_rejected(self, setup, call, outside):
+        # -1 would wrap to the table's last cell; n * 2k is one past it
         _, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
+        cell, a = harvest_descent_configs(ty)[0]
         with pytest.raises(GeometryError, match="precondition failed: frame"):
-            call(ty, oy, DescentFrame(frame.o, column(frame.f, ty.k)), a)
+            call(ty, oy, outside(ty.ty_critical.size), a)
 
     @START_CHECKED
     def test_non_critical_frame_rejected(self, setup, call):
         # a row that selected no edge has no placed trapezoid (its bound was negative)
         _, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
-        f = int(np.flatnonzero(~ty.ty_critical[frame.o])[0])
+        cell, a = harvest_descent_configs(ty)[0]
+        o = cell // (2 * ty.k)
+        f = int(np.flatnonzero(~ty.ty_critical[o])[0])
         with pytest.raises(GeometryError, match="precondition failed: frame"):
-            call(ty, oy, DescentFrame(frame.o, f), a)
+            call(ty, oy, o * 2 * ty.k + f, a)
 
     @START_CHECKED
     @pytest.mark.parametrize(
@@ -365,27 +366,23 @@ class TestDescentStart:
     )
     def test_non_witness_rejected(self, setup, call, clause, violates):
         _, ty, oy = setup
-        frame, a = harvest_descent_configs(ty)[0]
-        local, _ = oracle_local_coords(ty, frame)
+        cell, a = harvest_descent_configs(ty)[0]
+        local, _ = oracle_local_coords(ty, cell)
         phi = np.arctan2(-local[:, 1], 1.0 - local[:, 0])
-        bad = next(i for i in range(ty.n) if i != frame.o and violates(*local[i], phi[i]))
+        bad = next(i for i in range(ty.n) if i != cell // (2 * ty.k) and violates(*local[i], phi[i]))
         with pytest.raises(GeometryError, match=f"precondition failed: {re.escape(clause)}"):
-            call(ty, oy, frame, bad)
+            call(ty, oy, cell, bad)
 
     def test_bound_is_the_potential_at_the_witness(self, setup):
         _, ty, _ = setup
         tau = tau_bound(ty.k)
         configs = harvest_descent_configs(ty)
         assert len(configs) > 100
-        for frame, a in configs:
-            local, _ = oracle_local_coords(ty, frame)
-            bound = descent_length_bound(ty, frame, a)
+        for cell, a in configs:
+            local, _ = oracle_local_coords(ty, cell)
+            bound = descent_length_bound(ty, cell, a)
             assert type(bound) is float
             assert bound == phi_potential(Point(*local[a].tolist()), 0.0, tau)
-
-
-def _config_rows(configs):
-    return [(frame.o, frame.f, a) for frame, a in configs]
 
 
 HARVEST_SETS = {
@@ -422,8 +419,8 @@ class TestHarvest:
     def test_matches_per_frame_oracle(self, name, k):
         ty = build_ty(HARVEST_SETS[name](), k)
         configs = harvest_descent_configs(ty)
-        assert configs
-        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+        assert len(configs)
+        assert configs.tolist() == oracle_harvest(ty).tolist()
 
     @given(small_point_sets(), st.integers(-40, 40), st.sampled_from([26, 30, 84]))
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -431,7 +428,7 @@ class TestHarvest:
         # scaling by 2^j is exact, so only the pruning radius's rounding
         # margin separates the two harvests on these inputs
         ty = build_ty([Point(p.x * 2.0**j, p.y * 2.0**j) for p in pts], k)
-        assert _config_rows(harvest_descent_configs(ty)) == _config_rows(oracle_harvest(ty))
+        assert harvest_descent_configs(ty).tolist() == oracle_harvest(ty).tolist()
 
     def test_matches_per_frame_oracle_on_subnormal_offsets(self):
         # integer multiples of the smallest subnormal: the local map's products
@@ -444,7 +441,7 @@ class TestHarvest:
             cells = {tuple(c) for c in rng.integers(-span, span, size=(8, 2)).tolist()}
             ty = build_ty([Point(x * unit, y * unit) for x, y in cells], int(rng.choice([26, 30, 84])))
             configs = harvest_descent_configs(ty)
-            assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+            assert configs.tolist() == oracle_harvest(ty).tolist()
             harvested += len(configs)
         assert harvested > 0
 
@@ -460,8 +457,8 @@ class TestHarvest:
             squared = paths._placement(ty, tails, fs)[0] ** 2
         assert not ((squared >= 1e-300) & (squared <= 1e300)).any()
         configs = harvest_descent_configs(ty)
-        assert configs
-        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+        assert len(configs)
+        assert configs.tolist() == oracle_harvest(ty).tolist()
 
     @pytest.mark.parametrize("k", [26, 30, 84])
     def test_matches_per_frame_oracle_where_some_distances_overflow(self, k):
@@ -474,13 +471,13 @@ class TestHarvest:
             squared = paths._placement(ty, tails, fs)[0] ** 2
         assert np.isfinite(squared).any() and np.isinf(squared).any()
         configs = harvest_descent_configs(ty)
-        assert configs
-        assert _config_rows(configs) == _config_rows(oracle_harvest(ty))
+        assert len(configs)
+        assert configs.tolist() == oracle_harvest(ty).tolist()
 
     @LARGER_SETS
     def test_matches_per_frame_oracle_on_larger_sets(self, spec, k):
         ty = build_ty(gen_points(spec), k)
-        assert _config_rows(harvest_descent_configs(ty)) == _config_rows(oracle_harvest(ty))
+        assert harvest_descent_configs(ty).tolist() == oracle_harvest(ty).tolist()
 
     @LARGER_SETS
     def test_lazy_prefix_equals_harvest_prefix(self, spec, k):
@@ -490,13 +487,14 @@ class TestHarvest:
         configs = harvest_descent_configs(ty)
         assert len(configs) > 300
         for count in (0, 1, 300):
-            assert list(islice(chain.from_iterable(_iter_descent_configs(ty)), count)) == configs[:count]
+            prefix = islice(chain.from_iterable(_iter_descent_configs(ty)), count)
+            assert [row.tolist() for row in prefix] == configs[:count].tolist()
         chunks = list(_iter_descent_configs(ty))
-        assert list(chain.from_iterable(chunks)) == list(configs)
+        assert np.concatenate(chunks).tolist() == configs.tolist()
         # one chunk per tail vertex, in tail order
-        tails = [{frame.o for frame, _ in chunk} for chunk in chunks]
+        tails = [set((chunk[:, 0] // (2 * k)).tolist()) for chunk in chunks]
         assert all(len(t) == 1 for t in tails)
-        assert [min(t) for t in tails] == sorted({frame.o for frame, _ in configs})
+        assert [min(t) for t in tails] == np.unique(configs[:, 0] // (2 * k)).tolist()
 
     def test_potential_suite_walks_the_harvest_prefix(self):
         # co-circular input harvests ~20k configs here; the suite walks 300
@@ -505,48 +503,66 @@ class TestHarvest:
         (result,) = check_potential(RunConfig(k=30), graphs)
         assert result.passed and result.details["configs"] == 300
 
+    def test_rows_are_critical_cells_and_witnesses_in_edge_order(self, setup):
+        _, ty, _ = setup
+        configs = harvest_descent_configs(ty)
+        assert configs.shape == (len(configs), 2) and len(configs) > 100
+        assert configs.dtype == np.int32
+        cells, witnesses = configs.T
+        assert ty.ty_critical.flat[cells].all()
+        # (tail, head), then frame, then witness order: strictly increasing keys
+        tails, fs = np.divmod(cells.astype(np.int64), 2 * ty.k)
+        heads = ty.ty_head.flat[cells]
+        keys = ((tails * ty.n + heads) * 2 * ty.k + fs) * ty.n + witnesses
+        assert (np.diff(keys) > 0).all()
+
     def test_configs_of_one_frame_share_one_descent_frame(self, setup):
         _, ty, _ = setup
         configs = harvest_descent_configs(ty)
-        objects: dict[tuple, set[int]] = {}
-        # index, slice and iteration access all hand out the frame's one object
-        accessed = [configs[i] for i in range(len(configs))] + configs[::3] + list(configs)
-        for frame, _ in accessed:
-            objects.setdefault((frame.o, frame.f), set()).add(id(frame))
-        assert len(objects) > 1
-        assert all(len(ids) == 1 for ids in objects.values())
+        cells = configs[:, 0].tolist()
+        # a frame's witnesses are one contiguous run of rows under its one cell
+        runs = [cell for i, cell in enumerate(cells) if i == 0 or cells[i - 1] != cell]
+        assert len(runs) == len(set(runs)) > 1
+        assert len(runs) < len(cells)
+        # and every row of that run starts its descent from the same frame
+        starts: dict[int, set[tuple[int, int]]] = {}
+        for cell, a in configs.tolist():
+            o, f, *_ = paths._descent_start(ty, cell, a)
+            starts.setdefault(cell, set()).add((o, f))
+        assert all(s == {divmod(cell, 2 * ty.k)} for cell, s in starts.items())
 
     def test_sequence_protocol(self, setup):
+        # what callers use of the harvest: len, indexing, slicing and
+        # unpacking each row into (cell, witness)
         _, ty, _ = setup
         configs = harvest_descent_configs(ty)
-        assert isinstance(configs, DescentConfigs)
-        rows = list(configs)
+        rows = [tuple(row) for row in configs.tolist()]
         assert len(configs) == len(rows) > 100
-        assert configs[0] == rows[0] and configs[-1] == rows[-1] and configs[-7] == rows[-7]
-        frame, a = configs[len(rows) // 2]
-        assert type(frame) is DescentFrame and type(a) is int
-        assert type(frame.o) is int and type(frame.f) is int
+        for i in (0, -1, -7, len(rows) // 2):
+            assert tuple(configs[i].tolist()) == rows[i]
+        cell, a = configs[len(rows) // 2]
+        assert (int(cell), int(a)) == rows[len(rows) // 2]
         for i in (len(rows), -len(rows) - 1):
             with pytest.raises(IndexError):
                 configs[i]
         for part in (slice(None, 300), slice(5, 40, 3), slice(-20, None), slice(None, None, -4), slice(9, 2)):
-            assert configs[part] == rows[part]
-        assert list(reversed(configs)) == rows[::-1]
-        assert rows[3] in configs and configs.index(rows[3]) == 3
-        with pytest.raises(TypeError):
-            configs[0] = rows[1]
+            assert [tuple(r) for r in configs[part].tolist()] == rows[part]
+        assert [(int(c), int(w)) for c, w in configs[:300]] == rows[:300]
+
+    def test_descent_from_a_harvested_row_holds_python_ints(self, setup):
+        _, ty, oy = setup
+        cell, a = harvest_descent_configs(ty)[0]
+        assert type(cell) is np.int32 and type(a) is np.int32
+        tr = ty_descent_path(ty, oy, cell, a)
+        assert len(tr.vertices) > 1 and all(type(v) is int for v in tr.vertices)
+        assert tr.vertices[0] == a and tr.vertices[-1] == cell // (2 * ty.k)
 
     def test_empty_harvest(self):
         # no witness: the two points are each other's only neighbour
         ty = build_ty([Point(0.0, 0.0), Point(1.0, 0.0)], 30)
         configs = harvest_descent_configs(ty)
-        assert len(configs) == 0 and not configs and list(configs) == [] and configs[:5] == []
+        assert configs.shape == (0, 2) and configs.dtype == np.int32 and configs[:5].tolist() == []
         assert list(_iter_descent_configs(ty)) == []
-
-    def test_single_edge_harvest_is_that_edges_slice(self, setup):
-        _, ty, _ = setup
-        per_edge = [c for edge in sorted(ty.ty_frames) for c in harvest_descent_configs(ty, edge=edge)]
-        assert _config_rows(per_edge) == _config_rows(harvest_descent_configs(ty))
 
     @pytest.mark.parametrize("block", [1, 7, 100, 10**9])
     @pytest.mark.parametrize("pairs", [1, 300, 10**9])
@@ -557,11 +573,11 @@ class TestHarvest:
         monkeypatch.setattr(paths, "_PAIRS", pairs)
         for name in ("random", "cocircular"):
             ty = build_ty(HARVEST_SETS[name](), 30)
-            expected = _config_rows(oracle_harvest(ty))
-            assert _config_rows(harvest_descent_configs(ty)) == expected
+            expected = oracle_harvest(ty).tolist()
+            assert harvest_descent_configs(ty).tolist() == expected
             chunks = list(_iter_descent_configs(ty))
-            assert _config_rows(chain.from_iterable(chunks)) == expected
-            assert [len({frame.o for frame, _ in chunk}) for chunk in chunks] == [1] * len(chunks)
+            assert np.concatenate(chunks).tolist() == expected
+            assert [len(set((chunk[:, 0] // 60).tolist())) for chunk in chunks] == [1] * len(chunks)
 
     def test_first_chunk_places_and_tests_only_the_first_block(self, monkeypatch):
         ty = build_ty(gen_points(GenSpec(GenKind.CO_CIRCULAR, 200, seed=1, jitter=1e-3)), 30)
@@ -659,9 +675,9 @@ class TestPlacement:
         ty, oy = build_ty(pts, 30), build_oy(pts, 30)
         configs = harvest_descent_configs(ty)
         assert len(configs) > 1000
-        for frame, a in configs:
-            tr = ty_descent_path(ty, oy, frame, a)
-            assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
+        for cell, a in configs:
+            tr = ty_descent_path(ty, oy, cell, a)
+            assert tr.vertices[0] == a and tr.vertices[-1] == cell // (2 * ty.k)
 
 
 class TestDescentTable:
@@ -673,9 +689,9 @@ class TestDescentTable:
         pts = HARVEST_SETS[name]()
         ty, oy = build_ty(pts, k), build_oy(pts, k)
         configs = harvest_descent_configs(ty)
-        for frame, a in configs[:: max(1, len(configs) // 400)]:
-            tr = ty_descent_path(ty, oy, frame, a)
-            vertices, steps = oracle_descent_walk(ty, oy, frame, a)
+        for cell, a in configs[:: max(1, len(configs) // 400)]:
+            tr = ty_descent_path(ty, oy, cell, a)
+            vertices, steps = oracle_descent_walk(ty, oy, cell, a)
             assert tr.vertices == vertices
             assert [(s.kind, s.length, s.psi) for s in tr.steps] == steps
 
@@ -687,10 +703,10 @@ class TestDescentTable:
         pts = HARVEST_SETS[name]()
         ty, oy = build_ty(pts, k), build_oy(pts, k)
         configs = harvest_descent_configs(ty)
-        assert configs
-        for frame, a in configs:
-            tr = ty_descent_path(ty, oy, frame, a)
-            assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
+        assert len(configs)
+        for cell, a in configs:
+            tr = ty_descent_path(ty, oy, cell, a)
+            assert tr.vertices[0] == a and tr.vertices[-1] == cell // (2 * ty.k)
 
     @staticmethod
     def _bottom_ray_configs():
@@ -698,15 +714,15 @@ class TestDescentTable:
         # frame's bottom ray to within rounding (y_a = -8.9e-17)
         pts = gen_points(GenSpec(GenKind.CO_CIRCULAR, 60, seed=0))
         ty, oy = build_ty(pts, 30), build_oy(pts, 30)
-        configs = [(f, a) for f, a in harvest_descent_configs(ty) if (f.o, a) == (4, 6)]
+        configs = [(cell, a) for cell, a in harvest_descent_configs(ty).tolist() if (cell // 60, a) == (4, 6)]
         return ty, oy, configs
 
     def test_bottom_ray_config_is_harvested_and_walkable(self):
         ty, oy, configs = self._bottom_ray_configs()
         assert configs
-        for frame, a in configs:
-            tr = ty_descent_path(ty, oy, frame, a)
-            assert tr.vertices[0] == a and tr.vertices[-1] == frame.o
+        for cell, a in configs:
+            tr = ty_descent_path(ty, oy, cell, a)
+            assert tr.vertices[0] == a and tr.vertices[-1] == cell // (2 * ty.k)
 
     @pytest.mark.xfail(
         strict=True,
@@ -715,9 +731,9 @@ class TestDescentTable:
     )
     def test_bottom_ray_witness_keeps_the_descent_bound(self):
         ty, oy, configs = self._bottom_ray_configs()
-        for frame, a in configs:
-            tr = ty_descent_path(ty, oy, frame, a)
-            assert tr.total_length <= descent_length_bound(ty, frame, a) + TOL
+        for cell, a in configs:
+            tr = ty_descent_path(ty, oy, cell, a)
+            assert tr.total_length <= descent_length_bound(ty, cell, a) + TOL
             assert all(s.phi_after <= s.phi_before + TOL for s in tr.steps)
 
     def test_witness_on_the_pi_6_edge_is_harvested_and_walkable(self):
@@ -725,7 +741,7 @@ class TestDescentTable:
         # onto it in math.atan2; harvest and descent must decide alike
         pts = triangular_lattice(8)
         ty, oy = build_ty(pts, 32), build_oy(pts, 32)
-        configs = [(f, a) for f, a in harvest_descent_configs(ty) if (f.o, a) == (32, 33)]
+        configs = [(cell, a) for cell, a in harvest_descent_configs(ty).tolist() if (cell // 64, a) == (32, 33)]
         assert configs
-        for frame, a in configs:
-            ty_descent_path(ty, oy, frame, a)
+        for cell, a in configs:
+            ty_descent_path(ty, oy, cell, a)
