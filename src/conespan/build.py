@@ -21,7 +21,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import HALF_PI, TWO_PI, GeometryError, Point, _dilation, _polar_arr, on_critical_arc, theta
+from .geometry import (
+    HALF_PI, TWO_PI, GeometryError, Point, _angle_arr, _dilation, _polar_arr, on_critical_arc, theta,
+)
 
 
 class Family(str, Enum):
@@ -141,12 +143,13 @@ def _from_choice(family: Family, xy: np.ndarray, choice: np.ndarray) -> ConeGrap
 # Nearest candidates per vertex that build_ty scans before any rescan.
 _PREFIX = 48
 # (vertex, candidate, frame) entries per vectorized pass; bounds each array
-# of a _scan workspace to this many entries (more only for a single vertex).
+# of a workspace to this many entries (more only for a single vertex).
 _BLOCK = 1 << 16
 
 
 class _Workspace:
-    """Named scratch arrays of one :func:`_scan` call, shared by its blocks.
+    """Named scratch arrays of one :func:`_scan` or :func:`build_yao` call,
+    shared by its blocks.
 
     Each array is allocated at its first request, which comes from the
     first and largest block, and later requests take views of its front,
@@ -167,11 +170,9 @@ class _Workspace:
         return a[:size].reshape(shape)
 
 
-def _candidates(xy: np.ndarray, rows: np.ndarray, m: int, ws: _Workspace) -> tuple[np.ndarray, ...]:
-    """The ``m`` nearest other points of each vertex in ``rows`` (all when
-    m >= n - 1) as (len(rows), m) index, distance and polar-angle matrices
-    in ``ws``, and per row the smallest distance left out (+inf when none
-    is)."""
+def _offsets(xy: np.ndarray, rows: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """The other points of each vertex in ``rows`` as (len(rows), n - 1)
+    index, dx and dy matrices in ``ws``."""
     b, n1 = len(rows), xy.shape[0] - 1
     col = np.arange(n1)
     # every point but the row's own vertex
@@ -180,11 +181,41 @@ def _candidates(xy: np.ndarray, rows: np.ndarray, m: int, ws: _Workspace) -> tup
     dx, dy = ws("dx", (b, n1)), ws("dy", (b, n1))
     for axis, d in enumerate((dx, dy)):
         np.subtract(np.take(xy[:, axis], cand, out=d, mode="clip"), xy[rows, axis, None], out=d)
+    return cand, dx, dy
+
+
+def _squares(dx: np.ndarray, dy: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """dx * dx + dy * dy in ``ws``: each within a few units in the last
+    place of the true square while it stays in the normal range of floats,
+    +inf where it overflows."""
+    s = ws("sq", dx.shape)
+    with np.errstate(over="ignore"):
+        return np.add(np.multiply(dx, dx, out=s), np.multiply(dy, dy, out=ws("sq_t", dx.shape)), out=s)
+
+
+def _candidates(xy: np.ndarray, rows: np.ndarray, m: int, ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """The ``m`` nearest other points of each vertex in ``rows`` (all when
+    m >= n - 1) as (len(rows), m) index, distance and polar-angle matrices
+    in ``ws``, and per row a distance below or at that of every point left
+    out (+inf when none is).
+
+    The nearest are ranked by squared distance, which skips np.hypot: the
+    bound is then sqrt(s_m) * (1 - 1e-9) for the least left-out square s_m,
+    strictly below every left-out point's np.hypot distance.  A block with
+    a square outside [1e-300, 1e300], where squares lose that accuracy,
+    ranks by np.hypot and takes the least left-out distance itself."""
+    b, n1 = len(rows), xy.shape[0] - 1
+    cand, dx, dy = _offsets(xy, rows, ws)
     r_out = np.full(b, np.inf)
     if m < n1:  # angles only for the points kept
-        r = np.hypot(dx, dy, out=ws("r_all", (b, n1)))
-        near = np.argpartition(r, m, axis=1)  # allocates: argpartition takes no out=
-        r_out = np.take_along_axis(r, near[:, m : m + 1], axis=1)[:, 0]
+        d = _squares(dx, dy, ws)
+        squares = d.min() >= 1e-300 and d.max() <= 1e300
+        if not squares:
+            d = np.hypot(dx, dy, out=d)
+        near = np.argpartition(d, m, axis=1)  # allocates: argpartition takes no out=
+        r_out = np.take_along_axis(d, near[:, m : m + 1], axis=1)[:, 0]
+        if squares:
+            r_out = np.sqrt(r_out) * (1.0 - 1e-9)
         keep = near[:, :m] + (np.arange(b) * n1)[:, None]
         cand, dx, dy = (
             np.take(a, keep, out=ws(name, (b, m), a.dtype), mode="clip")
@@ -195,32 +226,35 @@ def _candidates(xy: np.ndarray, rows: np.ndarray, m: int, ws: _Workspace) -> tup
 
 
 def _winners(
-    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, frame: np.ndarray, hit, score, wanted: np.ndarray,
-    ws: _Workspace,
+    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, frame: np.ndarray, alpha: np.ndarray, sin_th: float,
+    wanted: np.ndarray, ws: _Workspace,
 ) -> tuple[np.ndarray, ...]:
-    """Tie-broken winner of each wanted frame of b vertices among their
-    candidate rows (see :func:`_candidates`); ``wanted`` is a (b, F) mask.
-    ``frame`` holds, along a new last axis, the frames at which each
-    candidate is evaluated (it is overwritten with per-block frame keys),
-    and ``hit`` marks the entries that can win one; ``score(idx, r)``
-    scores those flat entries ``idx`` at distances ``r``.  Scratch arrays
-    come from ``ws``.  Returns (b, F) arrays: the winner's index (-1 where
-    nothing is hit or the frame is not wanted), its score (+inf there) and
-    its distance."""
+    """Tie-broken first hit of each wanted trapezoid frame of b vertices
+    among their candidate rows (see :func:`_candidates`); ``wanted`` is a
+    (b, F) mask.  ``frame`` and ``alpha`` hold, along a new last axis, the
+    frames at which each candidate is evaluated and its angle there (see
+    :func:`_ty_window`; ``frame`` is overwritten with per-block frame keys).
+    Scratch arrays come from ``ws``.  Returns (b, F)
+    arrays: the winner's index (-1 where nothing is hit or the frame is not
+    wanted), its dilation (+inf there) and its distance."""
     b, f = wanted.shape
     size = frame.size
     key = np.add(frame, (np.arange(b) * f)[:, None, None], out=frame)
     live = np.take(wanted, key, out=ws("live", key.shape, bool), mode="clip")
+    # only entries inside a frame's quarter-plane have a finite dilation
+    hit = np.less(alpha, HALF_PI, out=ws("ty_mask", alpha.shape, bool))
     idx = np.flatnonzero(np.logical_and(live, hit, out=live))
     cnt = len(idx)
     key = np.take(key, idx, out=ws("key", (size,), np.int64)[:cnt], mode="clip")
     entry = np.floor_divide(idx, frame.shape[-1], out=ws("entry", (size,), np.int64)[:cnt])
-    scores = score(idx, np.take(r, entry, out=ws("r_entry", (size,))[:cnt], mode="clip"))
+    a = np.take(alpha, idx, out=ws("ty_hit_alpha", (size,))[:cnt], mode="clip")
+    r_entry = np.take(r, entry, out=ws("r_entry", (size,))[:cnt], mode="clip")
+    scores = _dilation(a, r_entry, sin_th, out=ws("ty_lam", (size,))[:cnt], scratch=a)
     best = np.full(b * f, np.inf)
     np.minimum.at(best, key, scores)
     best_at = np.take(best, key, out=ws("best_at", (size,))[:cnt], mode="clip")
     won = np.flatnonzero(np.equal(scores, best_at, out=ws("tie", (size,), bool)[:cnt]))
-    # a frame's tie-broken winner has the least score, then angle, then index
+    # a frame's tie-broken winner has the least dilation, then angle, then index
     won = won[np.lexsort((cand.ravel()[entry[won]], phi.ravel()[entry[won]], key[won]))]
     keys, first = np.unique(key[won], return_index=True)
     win = entry[won[first]]
@@ -231,45 +265,97 @@ def _winners(
     return head.reshape(b, f), best.reshape(b, f), r_head.reshape(b, f)
 
 
-def _scan(xy: np.ndarray, m: int, width: int, window, wanted: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each vertex's tie-broken winner of each wanted frame among its ``m``
-    nearest other points (all of them when m >= n - 1), as (n, F) tables of
-    winner index, score and distance (see :func:`_winners`), and per vertex
-    the smallest distance left out (+inf where none is).  ``wanted`` is an
-    (n, F) mask, and only vertices with a wanted frame are scanned.
-    ``window(phi, ws)`` gives, for candidate angles, the ``width`` frames of
-    each candidate, which entries can win them and their score.  The scan
-    runs over blocks of vertices holding about ``_BLOCK`` (vertex,
-    candidate, frame) entries each, and no more (vertex, candidate) pairs.
-    Every block works in one workspace, local to the call.
+def _scan(xy: np.ndarray, m: int, table: tuple[np.ndarray, np.ndarray], sin_th: float,
+          wanted: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each vertex's tie-broken first hit of each wanted trapezoid frame
+    among its ``m`` nearest other points (all of them when m >= n - 1), as
+    (n, 2k) tables of winner index, dilation and distance (see
+    :func:`_winners`), and per vertex the bound on the distances left out
+    (see :func:`_candidates`).  ``wanted`` is an (n, 2k) mask, and only
+    vertices with a wanted frame are scanned; ``table`` is the
+    :func:`_ty_window_table`.  The scan runs over blocks of vertices
+    holding about ``_BLOCK`` (vertex, candidate, frame) entries each, and no
+    more (vertex, candidate) pairs.  Every block works in one workspace,
+    local to the call.
     """
     n, f = wanted.shape
     tables = (np.full((n, f), -1, dtype=np.int64), np.full((n, f), np.inf), np.zeros((n, f)))
     r_out = np.full(n, np.inf)
     todo = np.flatnonzero(wanted.any(axis=1))
-    step = max(1, _BLOCK // max(m * width, n - 1, 1))
+    step = max(1, _BLOCK // max(m * table[0].shape[1], n - 1, 1))
     ws = _Workspace()
     for lo in range(0, len(todo), step):
         rows = todo[lo : lo + step]
         cand, r, phi, r_out[rows] = _candidates(xy, rows, m, ws)
-        for table, part in zip(tables, _winners(cand, r, phi, *window(phi, ws), wanted[rows], ws)):
-            table[rows] = part
+        frame, alpha = _ty_window(phi, table, ws)
+        for out, part in zip(tables, _winners(cand, r, phi, frame, alpha, sin_th, wanted[rows], ws)):
+            out[rows] = part
     return (*tables, r_out)
+
+
+def _screen(s: np.ndarray, key: np.ndarray, cells: int, ws: _Workspace) -> np.ndarray:
+    """Flat indices of the entries that can be nearest in their cell:
+    those whose square ``s`` (see :func:`_squares`) is at most the least
+    square of their cell ``key`` (in [0, cells)) times 1 + 1e-9, plus
+    1e-300.
+
+    The screen is exact.  A square is within a few units in the last place
+    of the true square, and np.hypot within one of the true distance, so an
+    entry past the bound is strictly farther than its cell's nearest entry.
+    An overflowed least passes its whole cell, and the 1e-300 term passes
+    every square that lost accuracy to subnormal rounding."""
+    least = np.full(cells, np.inf)
+    np.minimum.at(least, key.ravel(), s.ravel())
+    with np.errstate(over="ignore"):
+        np.add(np.multiply(least, 1.0 + 1e-9, out=least), 1e-300, out=least)
+    bound = np.take(least, key, out=ws("bound", s.shape), mode="clip")
+    return np.flatnonzero(np.less_equal(s, bound, out=ws("screen", s.shape, bool)))
+
+
+def _yao_rows(xy: np.ndarray, rows: np.ndarray, k: int, ws: _Workspace) -> np.ndarray:
+    """The Yao selection rows of the vertices ``rows``: per vertex and cone,
+    the other point that is first in (distance, polar angle, index) order
+    (-1 where the cone is empty), as a (len(rows), k) array.  Only the
+    entries that pass :func:`_screen` on their (vertex, cone) cell get a
+    np.hypot distance and enter the tie-break."""
+    b, n = len(rows), xy.shape[0]
+    cand, dx, dy = _offsets(xy, rows, ws)
+    s = _squares(dx, dy, ws)
+    phi = _angle_arr(dx, dy, out=(ws("phi", s.shape), ws("sq_t", s.shape), ws("polar_mask", s.shape, bool)))
+    key = _cone_index_arr(k, phi, ws)
+    np.add(key, (np.arange(b) * k)[:, None], out=key)
+    idx = _screen(s, key, b * k, ws)
+    cand, key, phi = cand.ravel()[idx], key.ravel()[idx], phi.ravel()[idx]
+    r = np.hypot(dx.ravel()[idx], dy.ravel()[idx])
+    # the tie-break one order key at a time: each cell keeps its entries of
+    # least distance, of those the least angle, and of those the least index
+    live = np.arange(len(idx))
+    for col in (r, phi):
+        least = np.full(b * k, np.inf)
+        np.minimum.at(least, key[live], col[live])
+        live = live[col[live] == least[key[live]]]
+    choice = np.full(b * k, n, dtype=np.int64)
+    np.minimum.at(choice, key[live], cand[live])
+    choice[choice == n] = -1
+    return choice.reshape(b, k)
 
 
 def build_yao(points: Sequence[Point], k: int) -> ConeGraph:
     """Yao graph: per vertex and per cone of the uniform k-partition, keep the
-    directed edge to the tie-broken nearest point inside the cone.  The cones
-    are the frames of one :func:`_scan` over every other point, and a
-    candidate's score is its distance."""
+    directed edge to the tie-broken nearest point inside the cone.  Every
+    vertex scans all its other points, in blocks of vertices holding about
+    ``_BLOCK`` (vertex, candidate) entries each (see :func:`_yao_rows`),
+    all in one workspace local to the call."""
     if k < 1:
         raise GeometryError(f"k must be >= 1, got {k}")
     xy = as_point_array(points)
-
-    def cone(phi: np.ndarray, ws: _Workspace):
-        return _cone_index_arr(k, phi, ws)[..., None], True, lambda idx, r: r
-
-    choice, _, _, _ = _scan(xy, xy.shape[0] - 1, 1, cone, np.ones((xy.shape[0], k), dtype=bool))
+    n = xy.shape[0]
+    choice = np.full((n, k), -1, dtype=np.int64)
+    step = max(1, _BLOCK // max(n - 1, 1))
+    ws = _Workspace()
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        choice[rows] = _yao_rows(xy, rows, k, ws)
     return _from_choice(Family.YAO, xy, choice)
 
 
@@ -385,10 +471,10 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     orientations per mirror whose quarter-plane can hold it.  Each vertex
     first scans its ``_PREFIX`` nearest points.  A dilation is never below
     the point's distance, so a frame whose best dilation there is strictly
-    below the distance of every point left out is settled: no other point
-    can win or tie it.  Vertices with unsettled frames (empty ones
-    included, as on hull-heavy inputs) rescan all their points for those
-    frames only.  The graph keeps the first-contact table (see
+    below a bound on the distance of every point left out (see
+    :func:`_candidates`) is settled: no other point can win or tie it.
+    Vertices with unsettled frames (empty ones included, as on hull-heavy
+    inputs) rescan all their points for those frames only.  The graph keeps the first-contact table (see
     :class:`ConeGraph`).
     """
     th = theta(k)  # also enforces k > 24
@@ -396,26 +482,11 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     n, sin_th = xy.shape[0], np.sin(th)
 
     table = _ty_window_table(k)
-
-    def trapezoid(phi: np.ndarray, ws: _Workspace):
-        frame, alpha = _ty_window(phi, table, ws)
-        # only entries inside a frame's quarter-plane have a finite dilation
-        hit = np.less(alpha, HALF_PI, out=ws("ty_mask", alpha.shape, bool))
-
-        def score(idx: np.ndarray, r: np.ndarray) -> np.ndarray:
-            a = np.take(alpha, idx, out=ws("ty_hit_alpha", (alpha.size,))[: len(idx)], mode="clip")
-            return _dilation(a, r, sin_th, out=ws("ty_lam", (alpha.size,))[: len(idx)], scratch=a)
-
-        return frame, hit, score
-
-    width = table[0].shape[1]
-    head, lam, r_head, r_out = _scan(
-        xy, min(_PREFIX, n - 1), width, trapezoid, np.ones((n, 2 * k), dtype=bool)
-    )
+    head, lam, r_head, r_out = _scan(xy, min(_PREFIX, n - 1), table, sin_th, np.ones((n, 2 * k), dtype=bool))
     # settled: best dilation below r_out, which every left-out point's
     # dilation reaches; r_out is +inf where no point was left out
     unsettled = ~(lam < r_out[:, None]) & np.isfinite(r_out)[:, None]
-    for merged, part in zip((head, lam, r_head), _scan(xy, n - 1, width, trapezoid, unsettled)):
+    for merged, part in zip((head, lam, r_head), _scan(xy, n - 1, table, sin_th, unsettled)):
         np.copyto(merged, part, where=unsettled)
     critical = on_critical_arc(lam, r_head)  # empty frames: +inf > 0
     tails, fs = np.nonzero(critical)

@@ -60,19 +60,30 @@ def ccw_diff(a: float, b: float) -> float:
     return normalize_angle(a - b)
 
 
-def _polar_arr(dx: np.ndarray, dy: np.ndarray, out: tuple = (None, None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized lengths and polar angles in [0, 2pi) of the vectors (dx, dy).
+def _angle_arr(dx: np.ndarray, dy: np.ndarray, out: tuple = (None, None, None)) -> np.ndarray:
+    """Vectorized polar angles in [0, 2pi) of the vectors (dx, dy): the one
+    array form of :func:`normalize_angle` on ``np.arctan2``.
 
-    Like :func:`normalize_angle`, an angle that rounds up to 2pi (a tiny
-    negative one) maps to 0, so every caller orders such directions alike.
-    ``out`` may hold (length, angle, bool scratch) arrays shaped like dx
-    that the results and the wrap mask are written into.
+    On arctan2's range [-pi, pi], adding 2pi to the negative angles and 0.0
+    to the rest gives np.mod(phi, 2pi) bit for bit (the 0.0 turns -0.0 into
+    0.0, as np.mod does) at a fraction of its cost.  Like normalize_angle,
+    an angle that rounds up to 2pi (a tiny negative one) maps to 0, so every
+    caller orders such directions alike.  ``out`` may hold (angle, float
+    scratch, bool scratch) arrays shaped like dx.
     """
-    r = np.hypot(dx, dy, out=out[0])
-    phi = np.arctan2(dy, dx, out=out[1])
-    np.mod(phi, TWO_PI, out=phi)
-    np.copyto(phi, 0.0, where=np.greater_equal(phi, TWO_PI, out=out[2]))
-    return r, phi
+    phi = np.arctan2(dy, dx, out=out[0])
+    neg = np.less(phi, 0.0, out=out[2])
+    np.add(phi, np.multiply(neg, TWO_PI, out=out[1]), out=phi)
+    np.copyto(phi, 0.0, where=np.greater_equal(phi, TWO_PI, out=neg))
+    return phi
+
+
+def _polar_arr(dx: np.ndarray, dy: np.ndarray, out: tuple = (None, None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized lengths and polar angles (see :func:`_angle_arr`) of the
+    vectors (dx, dy).  ``out`` may hold (length, angle, bool scratch) arrays
+    shaped like dx that the results and the masks are written into."""
+    phi = _angle_arr(dx, dy, out=(out[1], out[0], out[2]))  # the length array is scratch until np.hypot
+    return np.hypot(dx, dy, out=out[0]), phi
 
 
 def polar_angle(u: Point, v: Point) -> float:

@@ -228,7 +228,7 @@ def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckR
         try:
             trace = ty_descent_path(ty, oy, cell, a)
         except InvariantViolation as exc:
-            failures.append({"o": o, "a": a, "message": str(exc)})
+            failures.append({"o": o, "cell": cell, "a": a, "message": str(exc)})
             continue
         bound = descent_length_bound(ty, cell, a)
         slack = bound - trace.total_length
@@ -238,7 +238,7 @@ def check_potential(cfg: RunConfig, graphs: dict[str, ConeGraph]) -> list[CheckR
         if trace.total_length > bound + tol or any(
             s.phi_after > s.phi_before + tol for s in trace.steps
         ):
-            failures.append({"o": o, "a": a, "length": trace.total_length, "bound": bound})
+            failures.append({"o": o, "cell": cell, "a": a, "length": trace.total_length, "bound": bound})
     return [
         CheckResult(
             "potential_monotonicity",

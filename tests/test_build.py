@@ -284,19 +284,24 @@ class TestTyPrunedSweep:
 
     @pytest.mark.parametrize("k", [8, 48, 49, 84])
     def test_yao_scans_every_candidate_once_per_vertex(self, k):
-        # no prefix pass at any k: each vertex asks for all n - 1 candidates once
+        # no prefix pass at any k: each vertex is in exactly one block, whose
+        # screen sees all its n - 1 candidates
         pts = PRUNED_SETS["uniform300"]()
-        calls = []
+        blocks, screened = [], []
 
-        def candidates(xy, rows, m, ws):
-            calls.append((rows.copy(), m))
-            return candidates_of(xy, rows, m, ws)
+        def yao_rows(xy, rows, k, ws):
+            blocks.append(rows.copy())
+            return yao_rows_of(xy, rows, k, ws)
 
-        candidates_of = build._candidates
-        with patch.object(build, "_candidates", candidates):
+        def screen(s, key, cells, ws):
+            screened.append(s.shape)
+            return screen_of(s, key, cells, ws)
+
+        yao_rows_of, screen_of = build._yao_rows, build._screen
+        with patch.object(build, "_yao_rows", yao_rows), patch.object(build, "_screen", screen):
             got = build_yao(pts, k)
-        assert {m for _, m in calls} == {len(pts) - 1}
-        assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in calls])), np.arange(len(pts)))
+        assert np.array_equal(np.concatenate(blocks), np.arange(len(pts)))
+        assert screened == [(len(rows), len(pts) - 1) for rows in blocks]
         assert_same_yao(got, dense_build_yao(pts, k))
 
     @pytest.mark.parametrize("prefix", [8, build._PREFIX])
@@ -331,8 +336,8 @@ class TestTyPrunedSweep:
 
 
 class TestScanWorkspace:
-    """Each _scan call sizes its workspace by its first block and reuses it
-    for the rest; nothing of it outlives the call."""
+    """Each _scan call and each build_yao sizes its workspace by its first
+    block and reuses it for the rest; nothing of it outlives the call."""
 
     def test_partial_blocks_and_successive_builds_match_dense_oracle(self):
         # a large set, then a smaller one at another k, in one process and
@@ -344,9 +349,17 @@ class TestScanWorkspace:
             blocks.append((m, len(rows)))
             return candidates_of(xy, rows, m, ws)
 
-        candidates_of = build._candidates
+        def yao_rows(xy, rows, k, ws):
+            blocks.append((xy.shape[0] - 1, len(rows)))
+            return yao_rows_of(xy, rows, k, ws)
+
+        candidates_of, yao_rows_of = build._candidates, build._yao_rows
         partial = set()
-        with patch.object(build, "_BLOCK", 5 * 299 * 22), patch.object(build, "_candidates", candidates):
+        with (
+            patch.object(build, "_BLOCK", 5 * 299 * 22),
+            patch.object(build, "_candidates", candidates),
+            patch.object(build, "_yao_rows", yao_rows),
+        ):
             for pts, k in ((large, 30), (small, 84), (large, 84), (small, 26)):
                 for family in ("ty", "yao"):
                     builder, dense, assert_same = SWEPT[family]
@@ -389,6 +402,103 @@ class TestScanWorkspace:
         assert not np.shares_memory(first, ws("b", (4, 6)))
         grown = ws("a", (5, 6))
         assert grown.shape == (5, 6) and not np.shares_memory(first, grown)
+
+
+# transforms that move the squared distances out of the normal range of
+# floats (2**500 past 1e300, 2**520 to overflow, 2**-520 and 2**-540 into
+# subnormals or zero) or cancel digits in them (a shift by 1e6)
+SCREEN_TRANSFORMS = {
+    "x2^500": lambda p: Point(p.x * 2.0**500, p.y * 2.0**500),
+    "x2^520": lambda p: Point(p.x * 2.0**520, p.y * 2.0**520),
+    "x2^-520": lambda p: Point(p.x * 2.0**-520, p.y * 2.0**-520),
+    "x2^-540": lambda p: Point(p.x * 2.0**-540, p.y * 2.0**-540),
+    "shift1e6": lambda p: Point(p.x + 1e6, p.y + 1e6),
+}
+
+
+def pairwise_squares(pts: list[Point]) -> np.ndarray:
+    xy = np.array([[p.x, p.y] for p in pts])
+    d = xy[:, None, :] - xy[None, :, :]
+    with np.errstate(over="ignore"):
+        s = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    return s[~np.eye(len(pts), dtype=bool)]
+
+
+class TestNearestScreen:
+    """build_yao gives np.hypot and the tie-break only to the entries whose
+    squared distance is near their cone's least, and build_ty's prefix
+    ranks by squared distance; both fall back to exact distances where
+    squares lose accuracy.  The tables must still equal the dense scans'."""
+
+    @pytest.mark.parametrize(
+        "family,k", [("yao", 4), ("yao", 8), ("yao", 30), ("yao", 84), ("ty", 30), ("ty", 84)],
+        ids=["yao4", "yao8", "yao30", "yao84", "ty30", "ty84"],
+    )
+    @pytest.mark.parametrize("transform", list(SCREEN_TRANSFORMS))
+    @pytest.mark.parametrize("name", ["uniform300", "grid20x20", "cocircular200"])
+    def test_transformed_sets_match_dense_oracle(self, name, transform, family, k):
+        pts = [SCREEN_TRANSFORMS[transform](p) for p in PRUNED_SETS[name]()]
+        builder, dense, assert_same = SWEPT[family]
+        assert_same(builder(pts, k), dense(pts, k))
+
+    @pytest.mark.parametrize(
+        "transform,check",
+        [
+            ("x2^500", lambda s: s.max() > 1e300 and np.isfinite(s).all()),
+            ("x2^520", lambda s: np.isinf(s).any()),
+            ("x2^-520", lambda s: (s < 2.2250738585072014e-308).any()),
+            ("x2^-540", lambda s: (s < 2.2250738585072014e-308).all()),
+        ],
+    )
+    def test_transforms_reach_the_ranges_they_name(self, transform, check):
+        for name in ("uniform300", "grid20x20", "cocircular200"):
+            pts = [SCREEN_TRANSFORMS[transform](p) for p in PRUNED_SETS[name]()]
+            assert check(pairwise_squares(pts)), name
+
+    @pytest.mark.parametrize("k", [8, 30])
+    def test_few_entries_reach_hypot(self, k):
+        # only the cones' nearest entries pass the screen on generic input:
+        # one per occupied (vertex, cone) cell, so a screen that passes
+        # everything fails here
+        pts = PRUNED_SETS["uniform300"]()
+        passed, entries = [], []
+
+        def screen(s, key, cells, ws):
+            idx = screen_of(s, key, cells, ws)
+            passed.append(len(idx))
+            entries.append(s.size)
+            return idx
+
+        screen_of = build._screen
+        with patch.object(build, "_screen", screen):
+            got = build_yao(pts, k)
+        occupied = int(np.count_nonzero(got.cone_choice >= 0))
+        assert occupied <= sum(passed) <= 1.01 * occupied
+        assert sum(passed) < {8: 0.05, 30: 0.1}[k] * sum(entries)
+        assert_same_yao(got, dense_build_yao(pts, k))
+
+    @pytest.mark.parametrize("transform", [None, *SCREEN_TRANSFORMS])
+    @pytest.mark.parametrize("name", ["uniform300", "grid20x20", "cocircular200"])
+    def test_prefix_bound_is_below_every_left_out_distance(self, name, transform):
+        # with squares: strictly below every left-out np.hypot distance and
+        # within 2e-9 of the least; without (a block past [1e-300, 1e300]):
+        # the least left-out distance itself
+        pts = PRUNED_SETS[name]()
+        if transform:
+            pts = [SCREEN_TRANSFORMS[transform](p) for p in pts]
+        xy = build.as_point_array(pts)
+        squares = pairwise_squares(pts)
+        exact = not (squares.min() >= 1e-300 and squares.max() <= 1e300)
+        rows = np.arange(0, len(pts), 3)
+        cand, r, _, r_out = build._candidates(xy, rows, build._PREFIX, build._Workspace())
+        for i, row in enumerate(rows):
+            left = np.setdiff1d(np.delete(np.arange(len(pts)), row), cand[i])
+            r_left = np.hypot(*(xy[left] - xy[row]).T)
+            assert np.max(r[i]) <= r_left.min()
+            if exact:
+                assert r_out[i] == r_left.min()
+            else:
+                assert r_left.min() * (1 - 2e-9) <= r_out[i] < r_left.min()
 
 
 def assert_window_covers(phi: np.ndarray, r: np.ndarray, k: int) -> None:

@@ -13,7 +13,9 @@ from conespan.geometry import (
     Point,
     TrapezoidFrame,
     cone_index,
+    _angle_arr,
     _dilation,
+    _polar_arr,
     gamma,
     lhp_containment_check,
     normalize_angle,
@@ -59,6 +61,45 @@ class TestPoint:
             Point(math.inf, 0.0)
         with pytest.raises(GeometryError):
             Point(0.0, math.nan)
+
+
+class TestAngleArr:
+    """_angle_arr is np.mod(np.arctan2(dy, dx), 2pi) bit for bit, with an
+    angle that rounds up to 2pi mapped to 0, as normalize_angle does."""
+
+    @staticmethod
+    def reference(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        phi = np.mod(np.arctan2(dy, dx), TWO_PI)
+        phi[phi >= TWO_PI] = 0.0
+        return phi
+
+    def test_matches_np_mod_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        dx, dy = rng.normal(size=(2, 10_000)) * np.exp(rng.uniform(-30, 30, size=(2, 10_000)))
+        special = [
+            (-1.0, 0.0), (-1.0, -0.0), (1.0, -0.0), (1.0, 0.0), (0.0, -0.0), (-0.0, -0.0),  # +-pi, -0.0, 0.0
+            (1.0, -1e-300), (1.0, -5e-324), (1.0, -1e-17), (1.0, -2.0**-52),  # tiny negatives
+            (1.0, -math.ulp(TWO_PI) / 4), (1.0, -math.ulp(TWO_PI)), (-1.0, -1e-300), (0.0, -1.0),
+        ]
+        dx = np.concatenate([dx, [p[0] for p in special]])
+        dy = np.concatenate([dy, [p[1] for p in special]])
+        ref = self.reference(dx, dy)
+        got = _angle_arr(dx, dy)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))  # signs of zero included
+        assert np.all((got >= 0.0) & (got < TWO_PI))
+
+    def test_tiny_negatives_round_onto_zero(self):
+        got = _angle_arr(np.ones(3), np.array([-1e-300, -5e-324, -1e-17]))
+        assert np.array_equal(got, np.zeros(3))
+
+    def test_out_arrays_and_lengths(self):
+        rng = np.random.default_rng(12)
+        dx, dy = rng.normal(size=(2, 50))
+        out = (np.empty(50), np.empty(50), np.empty(50, dtype=bool))
+        r, phi = _polar_arr(dx, dy, out=out)
+        assert r is out[0] and phi is out[1]
+        assert np.array_equal(r, np.hypot(dx, dy))
+        assert np.array_equal(phi, self.reference(dx, dy))
 
 
 class TestPolarAngle:

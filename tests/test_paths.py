@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 from itertools import chain, islice
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -735,6 +736,35 @@ class TestDescentTable:
             tr = ty_descent_path(ty, oy, cell, a)
             assert tr.total_length <= descent_length_bound(ty, cell, a) + TOL
             assert all(s.phi_after <= s.phi_before + TOL for s in tr.steps)
+
+    def test_potential_failures_name_their_frame_cell(self):
+        # the bottom-ray set audited in full: each failure record's (cell, a)
+        # reproduces that failure through the descent and its bound, though
+        # the same (o, a) pairs also occur in passing frames
+        pts = gen_points(GenSpec(GenKind.CO_CIRCULAR, 60, seed=0))
+        ty, oy = build_ty(pts, 30), build_oy(pts, 30)
+        with patch.object(RunConfig, "max_descent_configs", 10**6):
+            (result,) = check_potential(RunConfig(k=30), {"ty": ty, "oy": oy})
+        assert not result.passed and result.details["configs"] == len(harvest_descent_configs(ty))
+        witnesses = result.details["witnesses"]
+        assert witnesses
+        for w in witnesses:
+            assert w["o"] == w["cell"] // (2 * ty.k) and type(w["cell"]) is int
+            tr = ty_descent_path(ty, oy, w["cell"], w["a"])
+            bound = descent_length_bound(ty, w["cell"], w["a"])
+            assert (tr.total_length, bound) == (w["length"], w["bound"])
+            assert tr.total_length > bound + TOL or any(s.phi_after > s.phi_before + TOL for s in tr.steps)
+        # other frames of a failing tail share its witness and pass
+        failing = {(w["cell"], w["a"]) for w in witnesses}
+        tail_witness = {(w["o"], w["a"]) for w in witnesses}
+        shared = [
+            (cell, a) for cell, a in harvest_descent_configs(ty).tolist()
+            if (cell // (2 * ty.k), a) in tail_witness and (cell, a) not in failing
+        ]
+        assert any(
+            ty_descent_path(ty, oy, cell, a).total_length <= descent_length_bound(ty, cell, a) + TOL
+            for cell, a in shared
+        )
 
     def test_witness_on_the_pi_6_edge_is_harvested_and_walkable(self):
         # phi(a->p) of witness 33 rounds to pi/6 from below in np.arctan2 and
