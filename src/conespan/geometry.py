@@ -104,7 +104,11 @@ def cone_index(k: int, phi: float) -> int:
     """
     if k < 1:
         raise GeometryError(f"cone count k must be >= 1, got {k}")
-    phi = normalize_angle(phi)
+    return _cone_of(k, normalize_angle(phi))
+
+
+def _cone_of(k: int, phi: float) -> int:
+    """The grid search of :func:`cone_index` on an angle already in [0, 2pi)."""
     w = TWO_PI / k
     j = int(phi / w)
     if j > k - 1:
@@ -114,6 +118,29 @@ def cone_index(k: int, phi: float) -> int:
     while j > 0 and phi < j * w:
         j -= 1
     return j
+
+
+def _greedy_cone(k: int, dx: float, dy: float) -> int:
+    """The greedy overlapping-Yao walk's cone toward the offset (dx, dy):
+    ``cone_index(k, normalize_angle(normalize_angle(atan2(dy, dx)) - pi/4))``
+    bit for bit, in one call.
+
+    Both fmod steps of normalize_angle return their argument unchanged here,
+    since atan2 lies in [-pi, pi] and the shifted angle in [-pi/4, 2pi), so
+    only the wraps remain: add 2pi to a negative angle, and map one that
+    rounds up to 2pi to 0.
+    """
+    phi = math.atan2(dy, dx)
+    if phi < 0.0:
+        phi += TWO_PI
+    if phi >= TWO_PI:
+        phi = 0.0
+    phi -= math.pi / 4
+    if phi < 0.0:
+        phi += TWO_PI
+    if phi >= TWO_PI:
+        phi = 0.0
+    return _cone_of(k, phi)
 
 
 def gamma(k: int) -> float:

@@ -21,6 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .geometry import (
     TWO_PI,
     GeometryError,
     Point,
-    cone_index,
+    _greedy_cone,
     normalize_angle,
 )
 
@@ -46,8 +47,7 @@ class StepKind(str, Enum):
     OY_HOP = "oy_hop"
 
 
-@dataclass(frozen=True)
-class StepAudit:
+class StepAudit(NamedTuple):
     """One audited step: its kind, length, and the audit quantity before and
     after (phi_after <= phi_before + eps must hold).  ``psi`` records the
     growth-ray direction for descent steps."""
@@ -94,50 +94,60 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
         raise GeometryError(f"greedy path requires an overlapping-Yao graph, got {graph.family.value}")
     if graph.cone_choice is None:
         raise GeometryError("greedy path requires the overlapping-Yao selection table (cone_choice)")
-    if u == v:
-        raise GeometryError("path endpoints must differ")
     n = graph.n
     if not (0 <= u < n and 0 <= v < n):
         raise GeometryError(f"vertex index out of range: u={u}, v={v}, n={n}")
-    k = graph.k
-    tau = tau_bound(k)
-    xy = graph.xy
-    vx, vy = xy[v].tolist()
-
-    vertices = [u]
-    steps: list[StepAudit] = []
+    if u == v:
+        raise GeometryError("path endpoints must differ")
+    tau = tau_bound(graph.k)
+    vertices, hops, remaining, total = _greedy_walk(graph, u, v)
+    steps = []
     acc = 0.0
-    cur = u
-    cx, cy = xy[cur].tolist()
-    remaining = math.hypot(vx - cx, vy - cy)
+    for hop, before, after in zip(hops, remaining, remaining[1:]):
+        phi_before = tau * before + acc
+        acc += hop
+        steps.append(StepAudit(StepKind.OY_HOP, hop, phi_before, tau * after + acc))
+    return PathTrace(tuple(vertices), tuple(steps), total)
+
+
+def _greedy_walk(graph: ConeGraph, u: int, v: int) -> tuple[list[int], list[float], list[float], float]:
+    """The greedy route of :func:`oy_greedy_path` on valid arguments, with no
+    step records: its vertices, its hop lengths, the distances to v before
+    the first hop and after each, and the hop lengths summed front to back.
+
+    Raises InvariantViolation where the selection table names no edge of the
+    graph, where a hop does not strictly approach v, and past n hops.
+    """
+    k, n = graph.k, graph.n
+    xy, choice, edges = graph.xy.item, graph.cone_choice.item, graph.edge_pairs
+    vx, vy = xy(v, 0), xy(v, 1)
+    cur, cx, cy = u, xy(u, 0), xy(u, 1)
+    left = math.hypot(vx - cx, vy - cy)
+    vertices, hops, remaining = [u], [], [left]
+    total = 0.0
     for _ in range(n):
         if cur == v:
-            break
-        shifted = normalize_angle(normalize_angle(math.atan2(vy - cy, vx - cx)) - math.pi / 4)
-        j = cone_index(k, shifted)
-        head = int(graph.cone_choice[cur, j])
-        if head < 0 or not graph.has_edge(cur, head):
+            return vertices, hops, remaining, total
+        j = _greedy_cone(k, vx - cx, vy - cy)
+        head = choice(cur, j)
+        if head < 0 or (cur, head) not in edges:
             raise InvariantViolation(
                 f"expected an overlapping-Yao edge from {cur} in cone {j} toward {v}"
             )
-        hx, hy = xy[head].tolist()
+        hx, hy = xy(head, 0), xy(head, 1)
         hop = math.hypot(hx - cx, hy - cy)
-        new_remaining = math.hypot(vx - hx, vy - hy)
-        if head != v and new_remaining >= remaining:
+        new_left = math.hypot(vx - hx, vy - hy)
+        if head != v and new_left >= left:
             raise InvariantViolation(
                 f"greedy hop {cur}->{head} did not approach target {v} "
-                f"({new_remaining} >= {remaining})"
+                f"({new_left} >= {left})"
             )
-        phi_before = tau * remaining + acc
-        acc += hop
-        phi_after = tau * new_remaining + acc
-        steps.append(StepAudit(StepKind.OY_HOP, hop, phi_before, phi_after))
+        total += hop
         vertices.append(head)
-        cur, cx, cy = head, hx, hy
-        remaining = new_remaining
-    else:
-        raise InvariantViolation(f"greedy path from {u} to {v} exceeded {n} hops")
-    return PathTrace(tuple(vertices), tuple(steps), acc)
+        hops.append(hop)
+        remaining.append(new_left)
+        cur, cx, cy, left = head, hx, hy, new_left
+    raise InvariantViolation(f"greedy path from {u} to {v} exceeded {n} hops")
 
 
 @cache
@@ -206,6 +216,8 @@ def ty_descent_path(
     a = int(a)
     if oy.family is not Family.OVERLAPPING_YAO:
         raise GeometryError(f"descent requires an overlapping-Yao graph, got {oy.family.value}")
+    if oy.cone_choice is None:
+        raise GeometryError("descent requires the overlapping-Yao selection table (cone_choice)")
     if oy.k != ty.k or not np.array_equal(oy.xy, ty.xy):
         raise GeometryError("the two graphs must share the point set and parameter k")
     k = ty.k
@@ -260,16 +272,16 @@ def ty_descent_path(
             raw_steps.append((StepKind.DIRECT_TY_EDGE, hop, cur, win, psi))
             vertices.append(win)
         else:
-            sub = oy_greedy_path(oy, cur, win)
-            raw_steps.append((StepKind.OY_SUBPATH, sub.total_length / scale, cur, win, psi))
-            vertices.extend(sub.vertices[1:])
+            sub, *_, sub_length = _greedy_walk(oy, cur, win)
+            raw_steps.append((StepKind.OY_SUBPATH, sub_length / scale, cur, win, psi))
+            vertices.extend(sub[1:])
         cur = win
     else:
         raise InvariantViolation(f"descent from {a} exceeded {n} iterations")
     if cur != o:
-        sub = oy_greedy_path(oy, cur, o)
-        raw_steps.append((StepKind.FINAL_OY_SUBPATH, sub.total_length / scale, cur, o, None))
-        vertices.extend(sub.vertices[1:])
+        sub, *_, sub_length = _greedy_walk(oy, cur, o)
+        raw_steps.append((StepKind.FINAL_OY_SUBPATH, sub_length / scale, cur, o, None))
+        vertices.extend(sub[1:])
 
     total = sum(s[1] for s in raw_steps)
     # audit pass: remaining-length to the apex decreases front to back

@@ -34,7 +34,8 @@ from conespan.geometry import (
     theta,
     HitPart,
 )
-from conespan.paths import InvariantViolation, StepKind, oy_greedy_path
+from conespan.analysis import tau_bound
+from conespan.paths import InvariantViolation, PathTrace, StepAudit, StepKind
 
 
 def random_points(n: int, seed: int, scale: float = 1.0) -> list[Point]:
@@ -437,6 +438,51 @@ def oracle_first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float)
     return win, float(lam[win]), float(r[win])
 
 
+def oracle_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
+    """Reference greedy overlapping-Yao route from u to v, one hop at a time
+    with the scalar angle rule: the cone index of the direction toward v,
+    shifted by pi/4, through normalize_angle and cone_index.  Expects valid
+    arguments; raises InvariantViolation with the production messages."""
+    k, n = graph.k, graph.n
+    tau = tau_bound(k)
+    xy = graph.xy
+    vx, vy = xy[v].tolist()
+    vertices = [u]
+    steps = []
+    acc = 0.0
+    cur = u
+    cx, cy = xy[cur].tolist()
+    remaining = math.hypot(vx - cx, vy - cy)
+    for _ in range(n):
+        if cur == v:
+            break
+        shifted = normalize_angle(normalize_angle(math.atan2(vy - cy, vx - cx)) - math.pi / 4)
+        j = cone_index(k, shifted)
+        head = int(graph.cone_choice[cur, j])
+        if head < 0 or not graph.has_edge(cur, head):
+            raise InvariantViolation(
+                f"expected an overlapping-Yao edge from {cur} in cone {j} toward {v}"
+            )
+        hx, hy = xy[head].tolist()
+        hop = math.hypot(hx - cx, hy - cy)
+        new_remaining = math.hypot(vx - hx, vy - hy)
+        if head != v and new_remaining >= remaining:
+            raise InvariantViolation(
+                f"greedy hop {cur}->{head} did not approach target {v} "
+                f"({new_remaining} >= {remaining})"
+            )
+        phi_before = tau * remaining + acc
+        acc += hop
+        phi_after = tau * new_remaining + acc
+        steps.append(StepAudit(StepKind.OY_HOP, hop, phi_before, phi_after))
+        vertices.append(head)
+        cur, cx, cy = head, hx, hy
+        remaining = new_remaining
+    else:
+        raise InvariantViolation(f"greedy path from {u} to {v} exceeded {n} hops")
+    return PathTrace(tuple(vertices), tuple(steps), acc)
+
+
 def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, cell: int, a: int):
     """Reference trapezoid descent that finds each growth step by first
     contact over all points in the frame's unit-local coordinates instead of
@@ -462,14 +508,14 @@ def oracle_descent_walk(ty: ConeGraph, oy: ConeGraph, cell: int, a: int):
             steps.append((StepKind.DIRECT_TY_EDGE, r_win, j * grid))
             vertices.append(win)
         else:
-            sub = oy_greedy_path(oy, cur, win)
+            sub = oracle_greedy_path(oy, cur, win)
             steps.append((StepKind.OY_SUBPATH, sub.total_length / scale, j * grid))
             vertices.extend(sub.vertices[1:])
         cur = win
     else:
         raise InvariantViolation(f"oracle descent from {a} exceeded {ty.n} iterations")
     if cur != o:
-        sub = oy_greedy_path(oy, cur, o)
+        sub = oracle_greedy_path(oy, cur, o)
         steps.append((StepKind.FINAL_OY_SUBPATH, sub.total_length / scale, None))
         vertices.extend(sub.vertices[1:])
     return tuple(vertices), steps

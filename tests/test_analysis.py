@@ -110,6 +110,26 @@ class TestBounds:
     def test_t_converges_to_asymptote(self):
         assert abs(t_bound(10**6).t_k - T_ASYMPTOTE) < 0.01
 
+    def test_t_is_the_headline_constant_plus_order_one_over_k(self):
+        """t_k falls from 427.3 at k=42 to 6.0301 at k=10^5 toward
+        sqrt(2) / (1 - 2 sin(pi/8)) ~ 6.027339, and k * (t_k - that limit)
+        stays at or below 300 from k=1000 on (285.7, 275.0, 273.9 and 273.8
+        at k = 10^3 ... 10^6): the abstract's 6.03 + O(1/k).
+
+        t_k does not fall at every step: t_{k+1} > t_k at every multiple of
+        4 from k=60 to k=396, 85 of the k in 42..399, where ceil(k/4) and
+        with it theta(2k) steps up.  So decrease is checked on a sparse
+        sequence, and the rises are pinned."""
+        limit = math.sqrt(2) / (1 - 2 * math.sin(math.pi / 8))
+        assert limit == pytest.approx(T_ASYMPTOTE, rel=1e-15)
+        tv = [t_bound(k).t_k for k in (42, 50, 84, 200, 1000, 10**5)]
+        assert all(a > b for a, b in zip(tv, tv[1:]))
+        assert tv[0] == pytest.approx(427.3245, rel=1e-6) and tv[-1] == pytest.approx(6.0301, abs=1e-4)
+        for k in (1000, 10**4, 10**5, 10**6):
+            assert 0.0 < k * (t_bound(k).t_k - limit) <= 300.0
+        rises = [k for k in range(42, 400) if t_bound(k + 1).t_k > t_bound(k).t_k]
+        assert rises == list(range(60, 400, 4))
+
 
 class TestShortestPaths:
     def test_two_point_graph(self):

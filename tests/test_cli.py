@@ -147,6 +147,13 @@ class TestPath:
         _, pts = workspace
         assert run("path", "--family", "oy", "--k", "30", "--in", str(pts)) == 2
 
+    @pytest.mark.parametrize("end", ["999", "-1"])
+    def test_equal_out_of_range_endpoints_are_named(self, workspace, end, capsys):
+        # the range is checked before the endpoints are compared
+        _, pts = workspace
+        assert run("path", "--family", "oy", "--k", "30", "--in", str(pts), "--source", end, "--target", end) == 2
+        assert f"vertex index out of range: u={end}, v={end}" in capsys.readouterr().err
+
     def test_ty_descent_auto_config(self, workspace):
         tmp_path, pts = workspace
         out = tmp_path / "descent.json"

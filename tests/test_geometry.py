@@ -14,6 +14,7 @@ from conespan.geometry import (
     TrapezoidFrame,
     cone_index,
     _angle_arr,
+    _greedy_cone,
     _dilation,
     _polar_arr,
     gamma,
@@ -144,6 +145,70 @@ class TestConeIndex:
             w = TWO_PI / k
             for j in range(k):
                 assert cone_index(k, j * w) == j
+
+
+GREEDY_KS = [26, 28, 30, 84]
+finite_offsets = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def composed_greedy_cone(k: int, dx: float, dy: float) -> int:
+    """The greedy walk's cone by the composed scalar rule: the cone index of
+    the direction's polar angle shifted by pi/4."""
+    return cone_index(k, normalize_angle(normalize_angle(math.atan2(dy, dx)) - math.pi / 4))
+
+
+class TestGreedyCone:
+    """_greedy_cone equals the composed scalar rule on every finite offset,
+    including the knife edges of its two wraps and of every cone boundary."""
+
+    @given(st.sampled_from(GREEDY_KS), finite_offsets, finite_offsets)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_any_finite_offset(self, k, dx, dy):
+        assert _greedy_cone(k, dx, dy) == composed_greedy_cone(k, dx, dy)
+
+    @given(
+        st.sampled_from(GREEDY_KS),
+        st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+        st.sampled_from([0.0, -0.0]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_negative_x_axis(self, k, dx, dy):
+        assert abs(math.atan2(dy, dx)) == math.pi  # +pi for +0.0, -pi for -0.0
+        assert _greedy_cone(k, dx, dy) == composed_greedy_cone(k, dx, dy)
+
+    @given(
+        st.sampled_from(GREEDY_KS),
+        st.floats(min_value=1e-3, max_value=1e300),
+        st.floats(min_value=-1e-12, max_value=0.0, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_tiny_negative_angles(self, k, dx, dy):
+        # an angle within half an ulp of 2pi below zero wraps onto 2pi, then 0
+        assert _greedy_cone(k, dx, dy) == composed_greedy_cone(k, dx, dy)
+
+    def test_a_polar_angle_rounding_onto_two_pi(self):
+        assert math.atan2(-1e-300, 1.0) + TWO_PI == TWO_PI
+        assert normalize_angle(math.atan2(-1e-300, 1.0)) == 0.0
+        # 0 - pi/4 wraps to 7pi/4, in cone 26 of 30
+        assert _greedy_cone(30, 1.0, -1e-300) == composed_greedy_cone(30, 1.0, -1e-300) == 26
+
+    @pytest.mark.parametrize("k", GREEDY_KS)
+    def test_one_step_either_side_of_every_shifted_boundary(self, k):
+        # directions near each ray j*2pi/k + pi/4, at three magnitudes: bisect
+        # dy down to the two adjacent floats where the composed rule changes
+        # cone, and compare both sides and their next neighbours
+        for j in range(k):
+            b = math.remainder(j * (TWO_PI / k) + math.pi / 4, TWO_PI)
+            for scale in (1.0, 1e-300, 1e300):
+                dx, dy = scale * math.cos(b), scale * math.sin(b)
+                lo, hi = dy - 1e-12 * scale, dy + 1e-12 * scale
+                below = composed_greedy_cone(k, dx, lo)
+                assert composed_greedy_cone(k, dx, hi) != below
+                while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                    lo, hi = (mid, hi) if composed_greedy_cone(k, dx, mid) == below else (lo, mid)
+                assert np.nextafter(lo, hi) == hi
+                for y in (np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf)):
+                    assert _greedy_cone(k, dx, float(y)) == composed_greedy_cone(k, dx, float(y))
 
 
 class TestGammaTheta:

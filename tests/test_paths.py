@@ -16,6 +16,7 @@ from conespan.geometry import TWO_PI, GeometryError, Point, dist, theta
 from conespan.pointgen import GenKind, GenSpec, gen_points
 from conespan.paths import (
     InvariantViolation,
+    StepAudit,
     StepKind,
     _iter_descent_configs,
     descent_length_bound,
@@ -28,6 +29,7 @@ from conespan.verify import RunConfig, check_potential
 from conftest import (
     oracle_descent_walk,
     oracle_first_contact,
+    oracle_greedy_path,
     oracle_harvest,
     oracle_local_coords,
     random_points,
@@ -117,8 +119,14 @@ class TestOyGreedyPath:
 
     def test_same_vertex_rejected(self):
         g = build_oy(random_points(10, 0), 26)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="endpoints must differ"):
             oy_greedy_path(g, 3, 3)
+
+    @pytest.mark.parametrize("u,v", [(7, 7), (-1, -1), (3, 0), (0, -1)])
+    def test_out_of_range_named_before_equality(self, u, v):
+        g = build_oy([Point(0, 0), Point(1, 0), Point(0, 1)], 26)
+        with pytest.raises(GeometryError, match=re.escape(f"out of range: u={u}, v={v}, n=3")):
+            oy_greedy_path(g, u, v)
 
     def test_wrong_family_rejected(self):
         g = build_yao(random_points(10, 0), 26)
@@ -254,6 +262,8 @@ class TestTyDescentPath:
         cell, a = harvest_descent_configs(ty)[0]
         with pytest.raises(GeometryError, match="share"):
             ty_descent_path(ty, other, cell, a)
+        with pytest.raises(GeometryError, match="selection table"):
+            ty_descent_path(ty, replace(oy, cone_choice=None), cell, a)
 
     def test_non_critical_frame_rejected(self, setup):
         # a frame that selected no edge has no certified empty placement,
@@ -412,6 +422,39 @@ LARGER_SETS = pytest.mark.parametrize(
     ],
     ids=["uniform", "clustered", "cocircular"],
 )
+
+
+class TestGreedyOracle:
+    """oy_greedy_path equals the scalar walker of tests/conftest.py exactly:
+    vertices, total length and every step record."""
+
+    @pytest.mark.parametrize("k", [26, 30, 84])
+    @pytest.mark.parametrize("name", ["grid", "two_rows", "trilattice", *EXACT_SETS])
+    def test_all_ordered_pairs(self, name, k):
+        g = build_oy(HARVEST_SETS[name](), k)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v:
+                    tr = oy_greedy_path(g, u, v)
+                    assert tr == oracle_greedy_path(g, u, v)
+                    assert all(type(s) is StepAudit for s in tr.steps)
+
+    @given(small_point_sets(), st.sampled_from([26, 30, 84]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_all_ordered_pairs_of_small_sets(self, pts, k):
+        g = build_oy(pts, k)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v:
+                    assert oy_greedy_path(g, u, v) == oracle_greedy_path(g, u, v)
+
+    def test_same_invariant_violation_on_gutted_edges(self):
+        g = build_oy(random_points(30, 11), 26)
+        gutted = replace(g, edges=g.edges[:0])  # selection table kept, edges gone
+        with pytest.raises(InvariantViolation) as expected:
+            oracle_greedy_path(gutted, 0, 5)
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(str(expected.value))}$"):
+            oy_greedy_path(gutted, 0, 5)
 
 
 class TestHarvest:
