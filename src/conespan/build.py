@@ -108,11 +108,15 @@ def as_point_array(points: Sequence[Point]) -> np.ndarray:
     xy = np.asarray([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     if xy.size and not np.all(np.isfinite(xy)):
         raise GeometryError("point coordinates must be finite")
-    seen: dict[tuple[float, float], int] = {}
-    for i, (x, y) in enumerate(map(tuple, xy)):
-        if (x, y) in seen:
-            raise GeometryError(f"duplicate point at indices {seen[(x, y)]} and {i}: ({x}, {y})")
-        seen[(x, y)] = i
+    # sorted by (x, y, index), equal points are adjacent and in index order;
+    # 0.0 and -0.0 compare equal
+    order = np.lexsort((np.arange(len(xy)), xy[:, 1], xy[:, 0]))
+    same = np.all(xy[order[1:]] == xy[order[:-1]], axis=1)
+    if same.any():
+        i = int(order[1:][same].min())  # the first point equal to an earlier one
+        j = int(np.flatnonzero(np.all(xy == xy[i], axis=1))[0])
+        x, y = xy[i].tolist()
+        raise GeometryError(f"duplicate point at indices {j} and {i}: ({x}, {y})")
     return xy
 
 
@@ -148,8 +152,8 @@ _BLOCK = 1 << 16
 
 
 class _Workspace:
-    """Named scratch arrays of one :func:`_scan` or :func:`build_yao` call,
-    shared by its blocks.
+    """Named scratch arrays of one :func:`build_ty` or :func:`build_yao`
+    call, shared by its blocks.
 
     Each array is allocated at its first request, which comes from the
     first and largest block, and later requests take views of its front,
@@ -221,75 +225,69 @@ def _candidates(xy: np.ndarray, rows: np.ndarray, m: int, ws: _Workspace) -> tup
             np.take(a, keep, out=ws(name, (b, m), a.dtype), mode="clip")
             for a, name in ((cand, "cand_kept"), (dx, "dx_kept"), (dy, "dy_kept"))
         )
-    r, phi = _polar_arr(dx, dy, out=(ws("r", (b, m)), ws("phi", (b, m)), ws("polar_mask", (b, m), bool)))
+    # a full scan takes no squares: its distances and angles take their arrays
+    names = ("r", "phi") if m < n1 else ("sq", "sq_t")
+    r, phi = _polar_arr(dx, dy, out=(*(ws(name, (b, m)) for name in names), ws("polar_mask", (b, m), bool)))
     return cand, r, phi, r_out
 
 
-def _winners(
-    cand: np.ndarray, r: np.ndarray, phi: np.ndarray, frame: np.ndarray, alpha: np.ndarray, sin_th: float,
-    wanted: np.ndarray, ws: _Workspace,
+def _first_hits(
+    key: np.ndarray, entry: np.ndarray, alpha: np.ndarray, cells: int, cand: np.ndarray, r: np.ndarray,
+    phi: np.ndarray, sin_th: float, ws: _Workspace, size: int,
 ) -> tuple[np.ndarray, ...]:
-    """Tie-broken first hit of each wanted trapezoid frame of b vertices
-    among their candidate rows (see :func:`_candidates`); ``wanted`` is a
-    (b, F) mask.  ``frame`` and ``alpha`` hold, along a new last axis, the
-    frames at which each candidate is evaluated and its angle there (see
-    :func:`_ty_window`; ``frame`` is overwritten with per-block frame keys).
-    Scratch arrays come from ``ws``.  Returns (b, F)
-    arrays: the winner's index (-1 where nothing is hit or the frame is not
-    wanted), its dilation (+inf there) and its distance."""
-    b, f = wanted.shape
-    size = frame.size
-    key = np.add(frame, (np.arange(b) * f)[:, None, None], out=frame)
-    live = np.take(wanted, key, out=ws("live", key.shape, bool), mode="clip")
-    # only entries inside a frame's quarter-plane have a finite dilation
-    hit = np.less(alpha, HALF_PI, out=ws("ty_mask", alpha.shape, bool))
-    idx = np.flatnonzero(np.logical_and(live, hit, out=live))
-    cnt = len(idx)
-    key = np.take(key, idx, out=ws("key", (size,), np.int64)[:cnt], mode="clip")
-    entry = np.floor_divide(idx, frame.shape[-1], out=ws("entry", (size,), np.int64)[:cnt])
-    a = np.take(alpha, idx, out=ws("ty_hit_alpha", (size,))[:cnt], mode="clip")
+    """Tie-broken first hit of each of ``cells`` frames: entry i is the
+    candidate ``entry[i]`` of the flat candidate arrays ``cand``, ``r`` and
+    ``phi`` (see :func:`_candidates`) at the frame ``key[i]``, where its
+    angle ``alpha[i]`` is below pi/2 (``alpha`` is overwritten).  Scratch
+    arrays come from ``ws``, reserved at ``size`` entries.  Returns (cells,)
+    arrays: the winner's index (-1 where no entry hits), its dilation (+inf
+    there) and its distance."""
+    cnt = len(entry)
     r_entry = np.take(r, entry, out=ws("r_entry", (size,))[:cnt], mode="clip")
-    scores = _dilation(a, r_entry, sin_th, out=ws("ty_lam", (size,))[:cnt], scratch=a)
-    best = np.full(b * f, np.inf)
+    scores = _dilation(alpha, r_entry, sin_th, out=ws("ty_lam", (size,))[:cnt], scratch=alpha)
+    best = np.full(cells, np.inf)
     np.minimum.at(best, key, scores)
-    best_at = np.take(best, key, out=ws("best_at", (size,))[:cnt], mode="clip")
+    best_at = np.take(best, key, out=r_entry, mode="clip")  # r_entry is spent
     won = np.flatnonzero(np.equal(scores, best_at, out=ws("tie", (size,), bool)[:cnt]))
     # a frame's tie-broken winner has the least dilation, then angle, then index
-    won = won[np.lexsort((cand.ravel()[entry[won]], phi.ravel()[entry[won]], key[won]))]
+    won = won[np.lexsort((cand[entry[won]], phi[entry[won]], key[won]))]
     keys, first = np.unique(key[won], return_index=True)
     win = entry[won[first]]
-    head = np.full(b * f, -1, dtype=np.int64)
-    head[keys] = cand.ravel()[win]
-    r_head = np.zeros(b * f)
-    r_head[keys] = r.ravel()[win]
-    return head.reshape(b, f), best.reshape(b, f), r_head.reshape(b, f)
+    head = np.full(cells, -1, dtype=np.int64)
+    head[keys] = cand[win]
+    r_head = np.zeros(cells)
+    r_head[keys] = r[win]
+    return head, best, r_head
 
 
-def _scan(xy: np.ndarray, m: int, table: tuple[np.ndarray, np.ndarray], sin_th: float,
-          wanted: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each vertex's tie-broken first hit of each wanted trapezoid frame
-    among its ``m`` nearest other points (all of them when m >= n - 1), as
-    (n, 2k) tables of winner index, dilation and distance (see
-    :func:`_winners`), and per vertex the bound on the distances left out
-    (see :func:`_candidates`).  ``wanted`` is an (n, 2k) mask, and only
-    vertices with a wanted frame are scanned; ``table`` is the
-    :func:`_ty_window_table`.  The scan runs over blocks of vertices
-    holding about ``_BLOCK`` (vertex, candidate, frame) entries each, and no
-    more (vertex, candidate) pairs.  Every block works in one workspace,
-    local to the call.
+def _scan(xy: np.ndarray, m: int, step: int, table: tuple[np.ndarray, np.ndarray], sin_th: float,
+          ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """Each vertex's tie-broken first hit of each trapezoid frame among its
+    ``m`` nearest other points (see :func:`_first_hits`), as (n, 2k) tables
+    of winner index, dilation and distance, and per vertex the bound on the
+    distances left out (see :func:`_candidates`).  A candidate is evaluated
+    at the frames of its window (``table``, the :func:`_ty_window_table`).
+    The scan runs over blocks of ``step`` vertices, with scratch arrays from
+    ``ws``.
     """
-    n, f = wanted.shape
+    n, f = xy.shape[0], 2 * (table[0].shape[0] - 1)
     tables = (np.full((n, f), -1, dtype=np.int64), np.full((n, f), np.inf), np.zeros((n, f)))
     r_out = np.full(n, np.inf)
-    todo = np.flatnonzero(wanted.any(axis=1))
-    step = max(1, _BLOCK // max(m * table[0].shape[1], n - 1, 1))
-    ws = _Workspace()
-    for lo in range(0, len(todo), step):
-        rows = todo[lo : lo + step]
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
         cand, r, phi, r_out[rows] = _candidates(xy, rows, m, ws)
         frame, alpha = _ty_window(phi, table, ws)
-        for out, part in zip(tables, _winners(cand, r, phi, frame, alpha, sin_th, wanted[rows], ws)):
-            out[rows] = part
+        b, size = len(rows), frame.size
+        key = np.add(frame, (np.arange(b) * f)[:, None, None], out=frame)
+        # only entries inside a frame's quarter-plane have a finite dilation
+        idx = np.flatnonzero(np.less(alpha, HALF_PI, out=ws("ty_mask", alpha.shape, bool)))
+        cnt = len(idx)
+        key = np.take(key, idx, out=ws("key", (size,), np.int64)[:cnt], mode="clip")
+        entry = np.floor_divide(idx, frame.shape[-1], out=ws("entry", (size,), np.int64)[:cnt])
+        a = np.take(alpha, idx, out=ws("ty_hit_alpha", (size,))[:cnt], mode="clip")
+        hits = _first_hits(key, entry, a, b * f, cand.ravel(), r.ravel(), phi.ravel(), sin_th, ws, size)
+        for out, part in zip(tables, hits):
+            out[rows] = part.reshape(b, f)
     return (*tables, r_out)
 
 
@@ -460,6 +458,132 @@ def _ty_window(
     return frame, alpha
 
 
+def _cone_runs(r: np.ndarray, phi: np.ndarray, k: int, ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """Sort each row of the (b, n - 1) distances ``r`` and polar angles
+    ``phi`` by (cone, distance) on the key cell + r / (2 r_max), where cell
+    = row * k + cone and r_max is the row's largest distance.  Returns the
+    flat sort order, the sorted keys, the start of each cell's run in them
+    (b * k + 1 entries) and per row 2 r_max.
+
+    The key is one addition rounded to nearest: it never passes cell + 0.5,
+    and it is monotone in r, so np.searchsorted finds each cone's run
+    exactly and, on cell + U / (2 r_max) with side="right", a superset of
+    the run's points within distance U.  A row whose distances are not all
+    finite has 2 r_max = nan: its keys are the cells themselves, and its
+    cuts read whole runs (see :func:`_rescan`).  The cones are computed as
+    :func:`_ty_window` computes them, with k folded to 0, whose window is
+    the same.  The keys take the arrays of the offsets, which a full scan
+    leaves spent (see :func:`_candidates`).
+    """
+    b, n1 = r.shape
+    cell = np.floor(np.divide(phi, TWO_PI / k, out=ws("dx", r.shape)), out=ws("dx", r.shape))
+    np.copyto(cell, 0.0, where=np.equal(cell, k, out=ws("polar_mask", r.shape, bool)))
+    np.add(cell, (np.arange(b) * k)[:, None], out=cell)
+    half = 2.0 * r.max(axis=1)
+    half[~np.isfinite(half)] = np.nan
+    key = np.divide(r, half[:, None], out=ws("dy", r.shape))
+    key[np.isnan(half)] = 0.0
+    np.add(key, cell, out=key)
+    order = np.argsort(key, axis=1)  # allocates: argsort takes no out=
+    order += (np.arange(b) * n1)[:, None]
+    order = order.ravel()
+    keys = np.take(key, order, out=cell.ravel(), mode="clip")
+    return order, keys, np.searchsorted(keys, np.arange(b * k + 1)), half
+
+
+def _rescan(xy: np.ndarray, tables: tuple[np.ndarray, ...], unsettled: np.ndarray, step: int,
+            table: tuple[np.ndarray, np.ndarray], sin_th: float, ws: _Workspace) -> None:
+    """Rescan the ``unsettled`` frames of the (n, 2k) mask over all other
+    points of their vertex, writing their winners into the (winner index,
+    dilation, distance) ``tables`` of the prefix pass (see :func:`_scan`).
+
+    A frame F reads only its window cones, the inverse of ``table``
+    (unmirrored j - 1 .. j + ceil(k/4) + 1, mirrored j - ceil(k/4) - 1 ..
+    j + 1), sorted by distance (see :func:`_cone_runs`), and there only the
+    points within U_F: the least of F's dilation in the prefix tables and
+    of the dilations at F of each window cone's nearest point.  Every
+    winner and every tie has r <= lambda_F <= U_F, since a dilation is
+    never below r.  Blocks hold ``step`` vertices, as the prefix pass's do,
+    so the candidate arrays fit the workspace ``ws`` it sized; each block's
+    frames are read in chunks of about ``_BLOCK / 4`` entries, whose arrays
+    outside ``ws`` stay small.
+    """
+    n, f = unsettled.shape
+    k, n1 = f // 2, n - 1
+    cones = (np.argsort(table[0][:k].ravel(), kind="stable") // table[0].shape[1]).reshape(f, -1)
+    psi, mirrored = np.arange(f) % k * (TWO_PI / k), np.arange(f) >= k
+    todo = np.flatnonzero(unsettled.any(axis=1))
+    for lo in range(0, len(todo), step):
+        rows = todo[lo : lo + step]
+        cand, r, phi, _ = _candidates(xy, rows, n1, ws)
+        order, keys, bounds, half = _cone_runs(r, phi, k, ws)
+        cand, r, phi = cand.ravel(), r.ravel(), phi.ravel()
+        # the unsettled (row, frame) pairs and their nonempty window cells
+        ri, fs = np.nonzero(unsettled[rows])
+        cells = (ri[:, None] * k + cones[fs]).ravel()
+        start = bounds[cells]
+        live = np.flatnonzero(start < bounds[cells + 1])
+        pair, cells, start = live // cones.shape[1], cells[live], start[live]
+        # U_F: the prefix's dilation, and those of each cell's nearest point
+        seed = order[start]
+        alpha = _alpha_at(phi[seed], psi[fs[pair]], mirrored[fs[pair]])
+        hit = np.flatnonzero(alpha < HALF_PI)
+        bound = tables[1][rows[ri], fs]
+        np.minimum.at(bound, pair[hit], _dilation(alpha[hit], r[seed[hit]], sin_th))
+        count = np.searchsorted(keys, cells + np.fmin(bound[pair] / half[ri[pair]], 0.5), side="right") - start
+        # chunks of whole pairs: [first[p0], first[p1]) are the cells of pairs p0..p1-1
+        first = np.searchsorted(pair, np.arange(len(fs) + 1))
+        ends = np.concatenate([[0], np.cumsum(count)])[first]
+        p0 = 0
+        while p0 < len(fs):
+            p1 = max(p0 + 1, int(np.searchsorted(ends, ends[p0] + _BLOCK // 4, side="right")) - 1)
+            c, size = slice(first[p0], first[p1]), int(ends[p1] - ends[p0])
+            at = np.repeat(start[c] - (np.cumsum(count[c]) - count[c]), count[c])
+            at += np.arange(size)
+            entry = np.take(order, at, out=ws("entry", (size,), np.int64), mode="clip")
+            key = np.repeat(pair[c] - p0, count[c])
+            alpha = _alpha_at(
+                np.take(phi, entry, out=ws("ty_alpha", (size,)), mode="clip"),
+                np.repeat(psi[fs[pair[c]]], count[c]), np.repeat(mirrored[fs[pair[c]]], count[c]),
+                ws("ty_hit_alpha", (size,)), ws("ty_mask", (size,), bool),
+            )
+            idx = np.flatnonzero(np.less(alpha, HALF_PI, out=ws("ty_mask", (size,), bool)))
+            hits = _first_hits(key[idx], entry[idx], alpha[idx], p1 - p0, cand, r, phi, sin_th, ws, size)
+            for out, part in zip(tables, hits):
+                out[rows[ri[p0:p1]], fs[p0:p1]] = part
+            p0 = p1
+
+
+def _alpha_at(phi: np.ndarray, psi: np.ndarray, mirrored: np.ndarray, out=None, mask=None) -> np.ndarray:
+    """The angles of points at polar angles ``phi`` to frames of orientation
+    angles ``psi``: phi - psi unmirrored and psi - phi ``mirrored``, reduced
+    into [0, 2pi) as :func:`_ty_window` reduces them.  ``out`` and ``mask``,
+    a float and a bool array shaped like ``phi``, take the result and a
+    mask in place of fresh arrays."""
+    alpha = np.subtract(phi, psi, out=out)
+    np.subtract(psi, phi, out=alpha, where=mirrored)
+    np.add(alpha, TWO_PI, out=alpha, where=np.less(alpha, 0.0, out=mask))
+    return alpha
+
+
+def _first_contacts(xy: np.ndarray, table: tuple[np.ndarray, np.ndarray], sin_th: float) -> tuple[np.ndarray, ...]:
+    """The (n, 2k) first-contact tables of winner index, dilation and
+    distance: a :func:`_scan` of each vertex's ``_PREFIX`` nearest points,
+    then a :func:`_rescan` of the frames it leaves unsettled.  Both run over
+    blocks of vertices holding about ``_BLOCK`` (vertex, candidate, frame)
+    prefix entries each, and no more (vertex, candidate) pairs, in one
+    workspace local to the call."""
+    n = xy.shape[0]
+    m = min(_PREFIX, n - 1)
+    step, ws = max(1, _BLOCK // max(m * table[0].shape[1], n - 1, 1)), _Workspace()
+    head, lam, r_head, r_out = _scan(xy, m, step, table, sin_th, ws)
+    # settled: best dilation below r_out, which every left-out point's
+    # dilation reaches; r_out is +inf where no point was left out
+    unsettled = ~(lam < r_out[:, None]) & np.isfinite(r_out)[:, None]
+    _rescan(xy, (head, lam, r_head), unsettled, step, table, sin_th, ws)
+    return head, lam, r_head
+
+
 def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     """Trapezoidal-Yao graph: per vertex, per orientation 2j*pi/k, and per
     mirror image, grow the placed curved trapezoid until it first hits a
@@ -474,20 +598,15 @@ def build_ty(points: Sequence[Point], k: int) -> ConeGraph:
     below a bound on the distance of every point left out (see
     :func:`_candidates`) is settled: no other point can win or tie it.
     Vertices with unsettled frames (empty ones included, as on hull-heavy
-    inputs) rescan all their points for those frames only.  The graph keeps the first-contact table (see
-    :class:`ConeGraph`).
+    inputs) rescan those frames only, each over its window cones' points
+    within a seeded bound on its dilation (see :func:`_rescan`).  The graph
+    keeps the first-contact table (see :class:`ConeGraph`).
     """
     th = theta(k)  # also enforces k > 24
     xy = as_point_array(points)
     n, sin_th = xy.shape[0], np.sin(th)
 
-    table = _ty_window_table(k)
-    head, lam, r_head, r_out = _scan(xy, min(_PREFIX, n - 1), table, sin_th, np.ones((n, 2 * k), dtype=bool))
-    # settled: best dilation below r_out, which every left-out point's
-    # dilation reaches; r_out is +inf where no point was left out
-    unsettled = ~(lam < r_out[:, None]) & np.isfinite(r_out)[:, None]
-    for merged, part in zip((head, lam, r_head), _scan(xy, n - 1, table, sin_th, unsettled)):
-        np.copyto(merged, part, where=unsettled)
+    head, lam, r_head = _first_contacts(xy, _ty_window_table(k), sin_th)
     critical = on_critical_arc(lam, r_head)  # empty frames: +inf > 0
     tails, fs = np.nonzero(critical)
     edges = edge_array(tails, head[tails, fs], n)

@@ -79,7 +79,12 @@ def phi_potential(point_local: Point, accumulated_length: float, tau: float) -> 
     l is the length of the constructed path from the point to the apex."""
     if tau < 1.0:
         raise GeometryError(f"tau must be >= 1, got {tau}")
-    return point_local.x + (2.0 * tau + 1.0) * abs(point_local.y) - accumulated_length
+    return _potential(point_local.x, point_local.y, accumulated_length, tau)
+
+
+def _potential(x: float, y: float, accumulated_length: float, tau: float) -> float:
+    """:func:`phi_potential` at the frame-local point (x, y), unchecked."""
+    return x + (2.0 * tau + 1.0) * abs(y) - accumulated_length
 
 
 def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
@@ -110,6 +115,18 @@ def oy_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
     return PathTrace(tuple(vertices), tuple(steps), total)
 
 
+def _nearer(ax: float, ay: float, bx: float, by: float, tx: float, ty: float) -> bool:
+    """Whether (ax, ay) is strictly nearer (tx, ty) than (bx, by) is, decided
+    exactly on the coordinates: rounded distances can tie where the true
+    ones differ, as for a hop of 3e-243 across a unit distance."""
+    # imported here: only such ties reach this, and fractions (with decimal)
+    # adds about 0.16 MB to every process that imports the package
+    from fractions import Fraction
+
+    ax, ay, bx, by, tx, ty = map(Fraction, (ax, ay, bx, by, tx, ty))
+    return (ax - tx) ** 2 + (ay - ty) ** 2 < (bx - tx) ** 2 + (by - ty) ** 2
+
+
 def _greedy_walk(graph: ConeGraph, u: int, v: int) -> tuple[list[int], list[float], list[float], float]:
     """The greedy route of :func:`oy_greedy_path` on valid arguments, with no
     step records: its vertices, its hop lengths, the distances to v before
@@ -137,7 +154,7 @@ def _greedy_walk(graph: ConeGraph, u: int, v: int) -> tuple[list[int], list[floa
         hx, hy = xy(head, 0), xy(head, 1)
         hop = math.hypot(hx - cx, hy - cy)
         new_left = math.hypot(vx - hx, vy - hy)
-        if head != v and new_left >= left:
+        if head != v and new_left >= left and not _nearer(hx, hy, cx, cy, vx, vy):
             raise InvariantViolation(
                 f"greedy hop {cur}->{head} did not approach target {v} "
                 f"({new_left} >= {left})"
@@ -288,9 +305,9 @@ def ty_descent_path(
     steps = []
     remaining = total
     for kind, seg, u_idx, v_idx, psi in raw_steps:
-        phi_before = phi_potential(Point(*at[u_idx]), remaining, tau)
+        phi_before = _potential(*at[u_idx], remaining, tau)
         remaining -= seg
-        phi_after = phi_potential(Point(*at[v_idx]), remaining, tau)
+        phi_after = _potential(*at[v_idx], remaining, tau)
         steps.append(StepAudit(kind, seg, phi_before, phi_after, psi))
     return PathTrace(tuple(vertices), tuple(steps), total)
 
@@ -300,7 +317,7 @@ def descent_length_bound(ty: ConeGraph, cell: int, a: int) -> float:
     the same frame-local units the trace reports, for a configuration that
     meets the descent's preconditions (see :func:`ty_descent_path`)."""
     *_, ax, ay = _descent_start(ty, cell, a)
-    return phi_potential(Point(float(ax), float(ay)), 0.0, tau_bound(ty.k))
+    return _potential(float(ax), float(ay), 0.0, tau_bound(ty.k))
 
 
 def _descent_start(ty: ConeGraph, cell: int, a: int):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -438,6 +439,13 @@ def oracle_first_contact(local: np.ndarray, cur: int, psi: float, sin_th: float)
     return win, float(lam[win]), float(r[win])
 
 
+def exactly_nearer(a: np.ndarray, b: np.ndarray, target: np.ndarray) -> bool:
+    """Whether point a is strictly nearer target than point b is, in exact
+    rational arithmetic on the coordinates."""
+    (ax, ay), (bx, by), (tx, ty) = ([Fraction(c) for c in p.tolist()] for p in (a, b, target))
+    return (ax - tx) ** 2 + (ay - ty) ** 2 < (bx - tx) ** 2 + (by - ty) ** 2
+
+
 def oracle_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
     """Reference greedy overlapping-Yao route from u to v, one hop at a time
     with the scalar angle rule: the cone index of the direction toward v,
@@ -466,7 +474,7 @@ def oracle_greedy_path(graph: ConeGraph, u: int, v: int) -> PathTrace:
         hx, hy = xy[head].tolist()
         hop = math.hypot(hx - cx, hy - cy)
         new_remaining = math.hypot(vx - hx, vy - hy)
-        if head != v and new_remaining >= remaining:
+        if head != v and new_remaining >= remaining and not exactly_nearer(xy[head], xy[cur], xy[v]):
             raise InvariantViolation(
                 f"greedy hop {cur}->{head} did not approach target {v} "
                 f"({new_remaining} >= {remaining})"

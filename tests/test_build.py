@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import groupby
@@ -90,6 +92,20 @@ class TestBuildYao:
     def test_duplicate_points_rejected(self):
         with pytest.raises(GeometryError, match="duplicate"):
             build_yao([Point(0, 0), Point(1, 1), Point(0, 0)], 8)
+
+    @pytest.mark.parametrize(
+        "xy,message",
+        [
+            # the first point equal to an earlier one, with that one's index
+            ([(5, 5), (1, 1), (1, 1), (5, 5)], "indices 1 and 2: (1.0, 1.0)"),
+            ([(3, 1), (1, 2), (3, 1), (1, 2), (3, 1)], "indices 0 and 2: (3.0, 1.0)"),
+            # 0.0 and -0.0 are one coordinate; the later point's signs are shown
+            ([(0.0, -0.0), (2, 2), (-0.0, 0.0), (2, 2)], "indices 0 and 2: (-0.0, 0.0)"),
+        ],
+    )
+    def test_duplicate_report_names_the_first_repeat(self, xy, message):
+        with pytest.raises(GeometryError, match=f"^duplicate point at {re.escape(message)}$"):
+            build.as_point_array([Point(float(x), float(y)) for x, y in xy])
 
     def test_edge_lengths_match_coordinates(self):
         pts = random_points(30, 5)
@@ -336,7 +352,7 @@ class TestTyPrunedSweep:
 
 
 class TestScanWorkspace:
-    """Each _scan call and each build_yao sizes its workspace by its first
+    """Each build_ty and each build_yao sizes its workspace by its first
     block and reuses it for the rest; nothing of it outlives the call."""
 
     def test_partial_blocks_and_successive_builds_match_dense_oracle(self):
@@ -402,6 +418,127 @@ class TestScanWorkspace:
         assert not np.shares_memory(first, ws("b", (4, 6)))
         grown = ws("a", (5, 6))
         assert grown.shape == (5, 6) and not np.shares_memory(first, grown)
+
+
+class RescanRecord:
+    """Patches build_ty's rescan to record its unsettled mask and the
+    entries each of its chunks gathers."""
+
+    def __init__(self):
+        self.unsettled = None
+        self.sizes = []
+        self._patches = (patch.object(build, "_rescan", self._rescan), patch.object(build, "_first_hits", self._hits))
+        self._rescan_of, self._hits_of = build._rescan, build._first_hits
+
+    def _rescan(self, xy, tables, unsettled, *args):
+        self.unsettled = unsettled  # the rescan only reads it
+        return self._rescan_of(xy, tables, unsettled, *args)
+
+    def _hits(self, *args):
+        if self.unsettled is not None:  # a rescan chunk: the last argument is its entry count
+            self.sizes.append(args[-1])
+        return self._hits_of(*args)
+
+    def __enter__(self):
+        for p in self._patches:
+            p.start()
+        return self
+
+    def __exit__(self, *exc):
+        for p in self._patches:
+            p.stop()
+
+
+def window_entries(xy: np.ndarray, k: int, unsettled: np.ndarray) -> int:
+    """The (candidate, unsettled frame) pairs with the candidate in the
+    frame's window, summed over vertices: the entries of a rescan that
+    reads whole cone runs."""
+    frame_of = _ty_window_table(k)[0]
+    total = 0
+    for i in np.flatnonzero(unsettled.any(axis=1)):
+        _, _, phi = _candidate_polar(xy, i)
+        cone = np.floor(phi / (TWO_PI / k)).astype(np.int64)
+        total += int(unsettled[i, frame_of[cone]].sum())
+    return total
+
+
+class TestTyRescan:
+    """build_ty rescans each unsettled frame over its window cones only, and
+    there over the points within a seeded bound U_F on its dilation."""
+
+    def test_reads_few_entries(self):
+        # co-circular input rescans every vertex; reading whole rows, or
+        # whole cone runs, gathers several times more than the radius cut
+        pts, k = PRUNED_SETS["cocircular200_jitter"](), 30
+        with RescanRecord() as rec:
+            got = build_ty(pts, k)
+        rows = int(rec.unsettled.any(axis=1).sum())
+        assert rows == len(pts)
+        slots = rows * (len(pts) - 1) * 2 * (-(-k // 4) + 3)
+        whole_runs = window_entries(got.xy, k, rec.unsettled)
+        # measured: 139,371 entries, 0.16 of the slots and 0.34 of whole runs
+        assert sum(rec.sizes) < 0.25 * slots
+        assert sum(rec.sizes) < 0.5 * whole_runs
+        assert_same_ty(got, dense_build_ty(pts, k))
+
+    @pytest.mark.parametrize("name", ["uniform300", "clustered300", "cocircular200_jitter"])
+    def test_keeps_the_point_at_the_radius_cut(self, name):
+        # a rescanned frame won at dilation == distance by the unique nearest
+        # point of its cone: that point seeds U_F = lambda_F = r, so its key
+        # equals the cut's and only side="right" keeps it
+        pts, k = PRUNED_SETS[name](), 30
+        with RescanRecord() as rec:
+            got = build_ty(pts, k)
+        at_cut = 0
+        for i, f in zip(*np.nonzero(rec.unsettled & (got.ty_head >= 0))):
+            cand, r, phi = _candidate_polar(got.xy, i)
+            w = np.searchsorted(cand, got.ty_head[i, f])
+            cone = np.floor(phi / (TWO_PI / k)) % k
+            at_cut += got.ty_lam[i, f] == r[w] and np.sum(r[cone == cone[w]] <= r[w]) == 1
+        assert at_cut > 0
+        assert_same_ty(got, dense_build_ty(pts, k))
+
+    def test_scratch_memory_follows_the_block_size(self):
+        # with a small _BLOCK the rescan holds a few block-sized arrays at a
+        # time: not whole rows of all vertices, nor (candidate, frame) slots,
+        # and it reads a block's frames in chunks of a quarter block
+        pts, k, block = PRUNED_SETS["cocircular200_jitter"](), 30, 4096
+        peak = []
+
+        def rescan(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rescan_of(*args)
+            peak.append(tracemalloc.get_traced_memory()[1] - start)
+
+        with RescanRecord() as rec, patch.object(build, "_BLOCK", block):
+            rescan_of = build._rescan
+            with patch.object(build, "_rescan", rescan):
+                tracemalloc.start()
+                try:
+                    got = build_ty(pts, k)
+                finally:
+                    tracemalloc.stop()
+        # measured: 2.8 block-sized float arrays, 2,091 entries per block
+        assert peak[0] < 5 * 8 * block
+        assert len(rec.sizes) > len(pts) / (block // (48 * 22)) and max(rec.sizes) <= block // 4
+        assert_same_ty(got, dense_build_ty(pts, k))
+
+    @pytest.mark.parametrize("k", [26, 30])
+    def test_rows_with_overflowing_distances_read_whole_cone_runs(self, k):
+        # two clusters 3.2e308 apart: distances across them overflow to +inf,
+        # so every row reads its frames' whole window cones and matches a
+        # build whose prefix holds every point
+        rng = np.random.default_rng(3)
+        pts = [Point(float(s * 1.6e308 + x * 1e306), float(y * 1e306)) for s in (-1, 1) for x, y in rng.random((30, 2))]
+        with np.errstate(over="ignore"), RescanRecord() as rec, patch.object(build, "_PREFIX", 3):
+            got = build_ty(pts, k)
+        with np.errstate(over="ignore"):
+            assert rec.unsettled.any()
+            assert sum(rec.sizes) == window_entries(got.xy, k, rec.unsettled)
+            with patch.object(build, "_PREFIX", len(pts)):
+                full = build_ty(pts, k)
+        assert_same_ty(got, full)
 
 
 # transforms that move the squared distances out of the normal range of

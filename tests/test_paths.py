@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conespan import paths
@@ -440,6 +440,9 @@ class TestGreedyOracle:
                     assert all(type(s) is StepAudit for s in tr.steps)
 
     @given(small_point_sets(), st.sampled_from([26, 30, 84]))
+    # the hop 0->2 gains 3.3e-243 on a unit distance, which rounds away: only
+    # the exact comparison sees that it approaches 1
+    @example([Point(0.0, 0.0), Point(1.0, 0.0), Point(3.3441727087269136e-243, 0.0)], 26)
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_all_ordered_pairs_of_small_sets(self, pts, k):
         g = build_oy(pts, k)
